@@ -18,20 +18,14 @@
 // exactly like the protocol paths do, because the stores themselves
 // publish.
 //
-// Consumers attach one of two ways:
-//
-//   * Subscribe(sink): the sink runs inline inside every Publish. Routing
-//     work (hashed dirty-set inserts) then sits on the mutation hot path —
-//     millions of publishes per run each pay a std::function call plus the
-//     consumer's marking cost.
-//   * BeginStaging() / DrainStaged(sink): Publish only appends a compact
-//     POD to a per-kind staging vector (no indirect call, no hashing), and
-//     the consumer replays the whole backlog in one batch per scan. The
-//     dirty/deferred mark operations the monitor performs are commutative
-//     within a batch (MarkAll dominates, Defer min-merges, Mark is
-//     idempotent), so per-kind buffers are safe — except the index
-//     upsert/erase stream, whose relative order the consumer's site mirror
-//     depends on; those share one ordered buffer.
+// A consumer claims the bus with BeginStaging(). Publish then only appends
+// a compact POD to a per-kind staging vector (no indirect call, no
+// hashing), and the consumer walks the Staged*() views in one batch per
+// scan. The dirty/deferred mark operations the monitor performs are
+// commutative within a batch (MarkAll dominates, Defer min-merges, Mark is
+// idempotent), so per-kind buffers are safe — except the index
+// upsert/erase stream, whose relative order the consumer's site mirror
+// depends on; those share one ordered buffer.
 //
 // With no consumer the bus is inert: publishers guard with Active(), so a
 // run without an incremental monitor pays one predictable branch per
@@ -39,7 +33,6 @@
 // only on the hash layer.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -157,20 +150,12 @@ static_assert(static_cast<std::uint8_t>(RecEvent::kHandoffFinished) ==
               static_cast<std::uint8_t>(DeltaKind::kHandoffFinished) +
                   kRecStateOffset);
 
-/// Fan-out point. Owned by sim::Network (one bus per simulated world);
+/// Staging point. Owned by sim::Network (one bus per simulated world);
 /// stores and protocol actors hold a pointer and publish through it.
 class StateDeltaBus {
  public:
-  using SinkFn = std::function<void(const StateDelta&)>;
-  /// Opaque sink handle: slot index in the high half, the slot's generation
-  /// in the low half. Slots are reused across subscribe/unsubscribe cycles
-  /// (the fan-out loop must stay dense on the hottest path in the system),
-  /// and the generation stamp makes a stale id inert instead of silently
-  /// unsubscribing the slot's next tenant.
-  using SinkId = std::uint64_t;
-
-  /// True once anyone subscribed or began staging — the publisher-side
-  /// fast-path guard:
+  /// True while staging is claimed or a recorder is attached — the
+  /// publisher-side fast-path guard:
   ///   if (bus != nullptr && bus->Active()) bus->Publish(...);
   bool Active() const noexcept { return active_ > 0; }
 
@@ -179,15 +164,15 @@ class StateDeltaBus {
       const std::uint32_t lane = CurrentLane();
       if (lane != 0) {
         // Worker-thread publish: append into the lane's private child bus
-        // (its own leaf profiler scope bills the worker's tree). Child
-        // buses carry no inline sinks — sharded consumers must use staging
-        // (the monitor does), merged at the next window barrier.
+        // (its own leaf profiler scope bills the worker's tree), merged
+        // into the lane-0 buffers at the next window barrier.
         (*lanes_)[lane - 1]->Publish(delta);
         return;
       }
     }
-    // Covers the staging append / fan-out, so per-mutation bookkeeping
-    // cost is attributable separate from the scans that drain it.
+    // Covers the recorder mirror and the staging append, so per-mutation
+    // bookkeeping cost is attributable separate from the scans that drain
+    // it.
     // Publishers guard with Active(), so inert runs never reach this
     // scope. Leaf variant: this fires once per mutation (millions per run)
     // and neither branch opens scopes of its own.
@@ -202,15 +187,10 @@ class StateDeltaBus {
           delta.when);
     }
     if (staging_) Stage(delta);
-    if (live_sinks_ > 0) {
-      for (const Slot& slot : sinks_) {
-        if (slot.fn) slot.fn(delta);
-      }
-    }
   }
 
   /// Route every published delta into `recorder` as a RecEvent mirror.
-  /// Arms Active() exactly like Subscribe/BeginStaging, so the publishers'
+  /// Arms Active() exactly like BeginStaging, so the publishers'
   /// `bus->Active()` guards start feeding the recorder even when no
   /// invariant monitor is attached. At most one recorder.
   void AttachRecorder(FlightRecorder* recorder) {
@@ -233,40 +213,8 @@ class StateDeltaBus {
   }
   FlightRecorder* recorder() const noexcept { return recorder_; }
 
-  /// Register an inline sink; the returned id unsubscribes it. Sinks must
-  /// not publish re-entrantly.
-  SinkId Subscribe(SinkFn sink) {
-    std::uint32_t index;
-    if (!free_slots_.empty()) {
-      index = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      index = static_cast<std::uint32_t>(sinks_.size());
-      sinks_.emplace_back();
-    }
-    sinks_[index].fn = std::move(sink);
-    ++live_sinks_;
-    ++active_;
-    return (static_cast<std::uint64_t>(index) << 32) |
-           sinks_[index].generation;
-  }
-
-  void Unsubscribe(SinkId id) {
-    const auto index = static_cast<std::uint32_t>(id >> 32);
-    const auto generation = static_cast<std::uint32_t>(id);
-    if (index >= sinks_.size()) return;
-    Slot& slot = sinks_[index];
-    if (slot.generation != generation || !slot.fn) return;  // Stale id.
-    slot.fn = nullptr;
-    ++slot.generation;  // Ids minted for the previous tenant die here.
-    free_slots_.push_back(index);
-    --live_sinks_;
-    --active_;
-  }
-
   /// Claim the staging buffers (arms Active()). At most one consumer can
-  /// stage — returns false if the buffers are already claimed, in which
-  /// case the caller falls back to Subscribe().
+  /// stage — returns false if the buffers are already claimed.
   bool BeginStaging() {
     if (staging_) return false;
     staging_ = true;
@@ -368,13 +316,10 @@ class StateDeltaBus {
     bool individual;
   };
 
-  /// Raw staged-buffer views for batch consumers that walk the backlog
-  /// directly (no per-delta reconstruction or indirect call — the generic
-  /// DrainStaged replay costs a function call per delta, which at millions
-  /// of deltas per scan is most of the drain). Within each buffer records
-  /// are in publish order; the index stream interleaves upserts and erases
-  /// in arrival order, which mirror maintenance depends on. A consumer
-  /// that takes this path must call ClearStaged() when done.
+  /// Staged-buffer views, walked directly by the consumer. Within each
+  /// buffer records are in publish order; the index stream interleaves
+  /// upserts and erases in arrival order, which mirror maintenance depends
+  /// on. The consumer calls ClearStaged() once it has walked the buffers.
   const std::vector<std::uint32_t>& StagedMembership() const noexcept {
     return staged_membership_;
   }
@@ -407,9 +352,7 @@ class StateDeltaBus {
     return staged_shapes_;
   }
 
-  /// Reset the staged backlog (capacity retained). Called by DrainStaged
-  /// automatically; batch consumers using the Staged*() views call it once
-  /// every handler has walked the buffers.
+  /// Reset the staged backlog (capacity retained).
   void ClearStaged() {
     staged_ = 0;
     staged_neighbors_.clear();
@@ -425,72 +368,11 @@ class StateDeltaBus {
     staged_shapes_.clear();
   }
 
-  /// Replay the staged backlog through `sink` as reconstructed StateDeltas
-  /// and clear the buffers (capacity retained). Replay is grouped by kind —
-  /// membership/handoff/Lp first (their MarkAll dominates any finer mark),
-  /// then the order-preserving index stream, then the rest — which is
-  /// equivalent to arrival order for the monitor's commutative mark
-  /// operations. `sink` must not publish re-entrantly.
-  template <typename Sink>
-  void DrainStaged(const Sink& sink) {
-    for (const std::uint32_t actor : staged_membership_) {
-      sink(StateDelta::Ring(DeltaKind::kMembership, actor));
-    }
-    for (const std::uint32_t actor : staged_handoffs_) {
-      sink(StateDelta::Ring(DeltaKind::kHandoffFinished, actor));
-    }
-    for (std::uint64_t i = 0; i < staged_lp_changes_; ++i) {
-      sink(StateDelta::Global(DeltaKind::kLpChange));
-    }
-    for (const StagedIndex& s : staged_index_) {
-      sink(StateDelta::Index(
-          s.erase ? DeltaKind::kIndexErase : DeltaKind::kIndexUpsert, s.actor,
-          s.object, s.individual, s.prefix, s.when));
-    }
-    for (const StagedObject& s : staged_replicas_) {
-      sink(StateDelta::Object(
-          s.erase ? DeltaKind::kReplicaErase : DeltaKind::kReplicaUpsert,
-          s.actor, s.object, s.when));
-    }
-    for (const StagedObject& s : staged_truths_) {
-      sink(StateDelta::Object(DeltaKind::kObjectTruth, s.actor, s.object,
-                              s.when));
-    }
-    for (const StagedVisit& s : staged_visits_) {
-      StateDelta d =
-          StateDelta::Object(DeltaKind::kIopVisit, s.actor, s.object, s.when);
-      d.gate = s.gate;
-      sink(d);
-    }
-    for (const StagedObject& s : staged_dropped_) {
-      sink(StateDelta::Object(DeltaKind::kIopDropped, s.actor, s.object,
-                              s.when));
-    }
-    for (const std::uint32_t actor : staged_neighbors_) {
-      sink(StateDelta::Ring(DeltaKind::kRingNeighbors, actor));
-    }
-    for (const StagedFinger& s : staged_fingers_) {
-      sink(StateDelta::Finger(s.actor, s.slot));
-    }
-    for (const StagedShape& s : staged_shapes_) {
-      sink(StateDelta::Shape(s.actor, s.prefix, s.individual));
-    }
-    ClearStaged();
-  }
-
   /// Total deltas published (including while nobody listened via direct
   /// Publish calls; guarded publishers contribute only while Active()).
   std::uint64_t Published() const noexcept { return published_; }
-  /// Slots in the sink table (free + occupied) — bounded across
-  /// subscribe/unsubscribe cycles by the peak concurrent sink count.
-  std::size_t SinkSlots() const noexcept { return sinks_.size(); }
 
  private:
-  struct Slot {
-    SinkFn fn;
-    std::uint32_t generation = 0;
-  };
-
   template <typename T>
   static void AppendFrom(std::vector<T>& dst, std::vector<T>& src) {
     dst.insert(dst.end(), src.begin(), src.end());
@@ -545,9 +427,6 @@ class StateDeltaBus {
     }
   }
 
-  std::vector<Slot> sinks_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t live_sinks_ = 0;
   std::size_t active_ = 0;
   std::uint64_t published_ = 0;
   FlightRecorder* recorder_ = nullptr;

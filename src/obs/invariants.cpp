@@ -33,42 +33,16 @@ InvariantMonitor::InvariantMonitor(sim::Simulator& simulator, Registry& registry
       repair_all_(registry.GetHistogram("invariant.repair_ms")) {}
 
 InvariantMonitor::~InvariantMonitor() {
-  if (bus_ != nullptr) {
-    if (staging_) {
-      bus_->EndStaging();
-    } else {
-      bus_->Unsubscribe(sink_);
-    }
-  }
+  if (bus_ != nullptr) bus_->EndStaging();
 }
 
-void InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
+bool InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
                                          std::uint32_t full_sweep_every_n_ticks) {
-  if (bus_ != nullptr) return;  // Already incremental; keep the first bus.
+  if (bus_ != nullptr) return true;  // Already incremental; keep the first bus.
+  if (!bus.BeginStaging()) return false;
   bus_ = &bus;
   full_sweep_every_n_ = std::max<std::uint32_t>(full_sweep_every_n_ticks, 1);
-  // Preferred attachment: claim the bus's staging buffers, so the mutation
-  // hot path only appends PODs and the backlog routes in one batch at the
-  // top of each scan. If another consumer staged first, fall back to an
-  // inline subscription (identical routing, paid per publish).
-  staging_ = bus.BeginStaging();
-  if (!staging_) {
-    sink_ = bus.Subscribe(
-        [this](const StateDelta& delta) { RouteDelta(delta); });
-  }
-}
-
-void InvariantMonitor::RouteDelta(const StateDelta& delta) {
-  ++deltas_routed_;
-  const std::uint32_t bit = KindBit(delta.kind);
-  for (const MaskedRouter& router : routers_) {
-    if ((router.kind_mask & bit) != 0) router.fn(delta);
-  }
-}
-
-void InvariantMonitor::AddDeltaRouter(DeltaRouter router,
-                                      std::uint32_t kind_mask) {
-  routers_.push_back(MaskedRouter{std::move(router), kind_mask});
+  return true;
 }
 
 void InvariantMonitor::AddDrainHandler(DrainHandler handler) {
@@ -104,19 +78,16 @@ void InvariantMonitor::RunOnce(bool force_full_sweep) {
   PROF_SCOPE("invariant", "scan");
   const auto wall_start = std::chrono::steady_clock::now();
   const double now = simulator_.Now();
-  if (staging_ && bus_->StagedCount() > 0) {
+  if (bus_ != nullptr && bus_->StagedCount() > 0) {
     // Route the staged mutation backlog into the installers' mark sets in
-    // one batch. Inside wall_start on purpose: draining is monitor
-    // overhead and must count against overhead_fraction.
+    // one batch, then clear it (with no handler installed too, so the
+    // backlog cannot grow without bound). Inside wall_start on purpose:
+    // draining is monitor overhead and must count against
+    // overhead_fraction.
     PROF_SCOPE("invariant", "stage_drain");
-    if (!drain_handlers_.empty()) {
-      deltas_routed_ += bus_->StagedCount();
-      for (const DrainHandler& handler : drain_handlers_) handler(*bus_);
-      bus_->ClearStaged();
-    } else {
-      bus_->DrainStaged(
-          [this](const StateDelta& delta) { RouteDelta(delta); });
-    }
+    deltas_routed_ += bus_->StagedCount();
+    for (const DrainHandler& handler : drain_handlers_) handler(*bus_);
+    bus_->ClearStaged();
   }
   const bool incremental = bus_ != nullptr;
   const bool full_pass = !incremental || force_full_sweep ||
@@ -738,34 +709,11 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
                        ? std::make_shared<ActorScope>(finger_marks)
                        : nullptr;
 
-  // One router for the whole installer. Membership changes move the
-  // ground-truth ring every check compares against, so they dirty every
-  // node; pointer/finger writes dirty only the writer.
-  monitor.AddDeltaRouter([neighbor_marks, finger_marks](const StateDelta& delta) {
-    switch (delta.kind) {
-      case DeltaKind::kMembership:
-      case DeltaKind::kHandoffFinished:
-        neighbor_marks->MarkAll();
-        finger_marks->MarkAll();
-        break;
-      case DeltaKind::kRingNeighbors:
-        neighbor_marks->Mark(delta.actor);
-        break;
-      case DeltaKind::kRingFinger:
-        finger_marks->Mark(delta.actor);
-        break;
-      default:
-        break;
-    }
-  },
-  InvariantMonitor::KindBit(DeltaKind::kMembership) |
-      InvariantMonitor::KindBit(DeltaKind::kHandoffFinished) |
-      InvariantMonitor::KindBit(DeltaKind::kRingNeighbors) |
-      InvariantMonitor::KindBit(DeltaKind::kRingFinger));
-  // Batch drain path: identical per-kind semantics to the router above,
-  // walking the staged buffers directly. Membership movement first — its
-  // MarkAll dominates, and Mark() is a no-op afterwards, so the pointer
-  // and finger loops can be skipped outright.
+  // Membership changes move the ground-truth ring every check compares
+  // against, so they dirty every node; pointer/finger writes dirty only the
+  // writer. Membership runs first — its MarkAll dominates, and Mark() is a
+  // no-op afterwards, so the pointer and finger loops can be skipped
+  // outright.
   monitor.AddDrainHandler([neighbor_marks,
                            finger_marks](const StateDeltaBus& bus) {
     if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
@@ -965,13 +913,13 @@ class SiteList {
 };
 
 /// Shared mutable state for one InstallTrackingChecks call: the site
-/// mirror the delta router maintains, the per-scan resolve cache, and the
+/// mirror the drain handler maintains, the per-scan resolve cache, and the
 /// replication successor precompute. The mirror is a *hint*, not
 /// authority — audits resolve every location against live store state and
 /// lazily prune stale ones, so a spurious or duplicate delta at worst
 /// costs one clean re-audit. Full passes rebuild it from scratch, which is
-/// what makes the cross-check sweep honest: a mutation the router never
-/// heard about is still found.
+/// what makes the cross-check sweep honest: a mutation the drain handler
+/// never heard about is still found.
 struct TrackState {
   std::uint64_t mirror_key = ~0ull;
   util::FlatHashMap<hash::UInt160, std::vector<SiteLoc>, hash::UInt160Hasher>
@@ -1022,7 +970,7 @@ void SortSitesByActor(ResolvedSite* first, std::uint32_t count) noexcept {
 }
 
 /// Rebuild the site mirror from a full sweep over live state (full passes
-/// only; incremental ticks rely on the delta router keeping it fresh).
+/// only; incremental ticks rely on the drain handler keeping it fresh).
 void EnsureMirrors(TrackState& st, std::uint64_t key,
                    tracking::TrackingSystem& sys) {
   if (st.mirror_key == key) return;
@@ -1478,101 +1426,22 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
                       ? std::make_shared<ActorScope>(shape_marks)
                       : nullptr;
 
-  // One router for the whole installer: marks the shared dirty sets and
-  // keeps the site mirror fresh between full rebuilds. This runs once per
-  // published delta — millions of times per run — so it inserts each key
-  // into ONE shared set per key space, not one per check.
-  monitor.AddDeltaRouter([state, visit_marks, object_marks,
-                          shape_marks](const StateDelta& delta) {
-    switch (delta.kind) {
-      case DeltaKind::kMembership:
-      case DeltaKind::kHandoffFinished:
-        // The alive set is part of every tracking check's ground truth
-        // (site sweeps skip dead nodes, replication re-derives successors),
-        // so membership movement re-judges everything. Rare by
-        // construction: only churn events publish these.
-        if (delta.kind == DeltaKind::kHandoffFinished) {
-          state->departed_any = true;
-        }
-        visit_marks->MarkAll();
-        object_marks->MarkAll();
-        shape_marks->MarkAll();
-        break;
-      case DeltaKind::kLpChange:
-        shape_marks->MarkAll();
-        break;
-      case DeltaKind::kIopVisit:
-        if (delta.when >= 0.0) {
-          // The write is judgeable once its gate settles (the record's own
-          // arrival, or the next hop's arrival for a departure write); the
-          // scope parks the first audit at gate + staleness.
-          visit_marks->Defer(VisitKey{delta.object, delta.actor, delta.when},
-                             delta.gate >= 0.0 ? delta.gate : delta.when);
-        } else {
-          visit_marks->MarkAll();  // Coarse publish: re-judge every record.
-        }
-        break;
-      case DeltaKind::kIopDropped:
-        // Graceful-leave extraction moves visit lists wholesale; the
-        // adopter republishes per record, but the extracted records must be
-        // re-judged away too.
-        visit_marks->MarkAll();
-        break;
-      case DeltaKind::kIndexUpsert:
-        AddUniqueLoc(state->sites[delta.object],
-                     SiteLoc{delta.actor, delta.individual, delta.prefix});
-        if (delta.when >= 0.0) {
-          object_marks->Defer(delta.object, delta.when);
-        } else {
-          object_marks->Mark(delta.object);
-        }
-        shape_marks->Mark(delta.actor);
-        break;
-      case DeltaKind::kIndexErase: {
-        if (std::vector<SiteLoc>* locs = state->sites.Find(delta.object)) {
-          std::erase(*locs,
-                     SiteLoc{delta.actor, delta.individual, delta.prefix});
-          if (locs->empty()) state->sites.Erase(delta.object);
-        }
-        object_marks->Mark(delta.object);
-        shape_marks->Mark(delta.actor);
-        break;
-      }
-      case DeltaKind::kReplicaUpsert:
-      case DeltaKind::kObjectTruth:
-        // Both carry the arrival that starts the settle clock: every
-        // object-grain check's own pending logic would return exactly
-        // `when + staleness` for this state, so park the audit there.
-        if (delta.when >= 0.0) {
-          object_marks->Defer(delta.object, delta.when);
-        } else {
-          object_marks->Mark(delta.object);
-        }
-        break;
-      case DeltaKind::kReplicaErase:
-        object_marks->Mark(delta.object);
-        break;
-      case DeltaKind::kPrefixShape:
-        shape_marks->Mark(delta.actor);
-        break;
-      default:
-        break;
-    }
-  },
-  InvariantMonitor::kAllKinds &
-      ~(InvariantMonitor::KindBit(DeltaKind::kRingNeighbors) |
-        InvariantMonitor::KindBit(DeltaKind::kRingFinger)));
-  // Batch drain path: identical per-kind semantics to the router above,
-  // but walking each staged buffer in a tight loop instead of paying an
-  // indirect call plus a kind switch per delta. Two properties make this
-  // cheap: (a) MarkAll-dominant kinds run first, so once a key space is
-  // flat its fine-grain loop is skipped outright (the index stream still
-  // walks regardless — mirror maintenance is unconditional); (b) a write
-  // group publishes its per-prefix upserts back to back, so same-object
-  // records are adjacent within a stream and the MarkSet memos swallow
-  // the duplicate Defer probes.
+  // One drain handler for the whole installer: marks the shared dirty sets
+  // and keeps the site mirror fresh between full rebuilds. It inserts each
+  // key into ONE shared set per key space, not one per check, and walks
+  // each staged buffer in a tight loop. Two properties make this cheap:
+  // (a) MarkAll-dominant kinds run first, so once a key space is flat its
+  // fine-grain loop is skipped outright (the index stream still walks
+  // regardless — mirror maintenance is unconditional); (b) a write group
+  // publishes its per-prefix upserts back to back, so same-object records
+  // are adjacent within a stream and the MarkSet memos swallow the
+  // duplicate Defer probes.
   monitor.AddDrainHandler([state, visit_marks, object_marks,
                            shape_marks](const StateDeltaBus& bus) {
+    // The alive set is part of every tracking check's ground truth (site
+    // sweeps skip dead nodes, replication re-derives successors), so
+    // membership movement re-judges everything. Rare by construction: only
+    // churn events publish these.
     if (!bus.StagedHandoffs().empty()) state->departed_any = true;
     if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
       visit_marks->MarkAll();
@@ -1580,6 +1449,9 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
       shape_marks->MarkAll();
     }
     if (bus.StagedLpChanges() > 0) shape_marks->MarkAll();
+    // Graceful-leave extraction moves visit lists wholesale; the adopter
+    // republishes per record, but the extracted records must be re-judged
+    // away too.
     if (!bus.StagedDropped().empty()) visit_marks->MarkAll();
 
     // Each loop prefetches the map lines a few records ahead: the staged
@@ -1634,6 +1506,10 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
       }
       shape_marks->Mark(s.actor);
     }
+    // Replica upserts and truth moves carry the arrival that starts the
+    // settle clock: every object-grain check's own pending logic would
+    // return exactly `when + staleness` for this state, so park the audit
+    // there.
     if (!object_marks->all) {
       const auto& replicas = bus.StagedReplicas();
       for (std::size_t i = 0; i < replicas.size(); ++i) {
@@ -1660,6 +1536,9 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
         }
       }
     }
+    // A visit write is judgeable once its gate settles (the record's own
+    // arrival, or the next hop's arrival for a departure write); a coarse
+    // publish with no arrival re-judges every record.
     if (!visit_marks->all) {
       const auto& visits = bus.StagedVisits();
       for (std::size_t i = 0; i < visits.size(); ++i) {

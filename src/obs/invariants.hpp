@@ -82,7 +82,7 @@ class CheckContext {
   /// incremental mode. Checks written with a dirty set fall back to their
   /// full enumeration when set.
   bool FullPass() const noexcept { return full_pass_; }
-  /// True when the monitor is delta-driven (EnableIncremental was called).
+  /// True when the monitor is delta-driven (EnableIncremental succeeded).
   bool Incremental() const noexcept { return incremental_; }
 
   /// Record one cross-check miss: a full-sweep finding on a subject the
@@ -105,7 +105,6 @@ class CheckContext {
 class InvariantMonitor {
  public:
   using CheckFn = std::function<void(CheckContext&)>;
-  using DeltaRouter = std::function<void(const StateDelta&)>;
 
   /// Instruments are created in `registry` (typically
   /// network.metrics().registry() so samplers see them). The monitor must
@@ -119,36 +118,22 @@ class InvariantMonitor {
 
   /// Switch to event-driven auditing: claim `bus`'s staging buffers (which
   /// arms the publishers' Active() guard) so mutations append compact PODs
-  /// there, and drain the backlog through the installers' delta routers at
-  /// the top of every scan. (If another consumer already staged, fall back
-  /// to an inline bus subscription — same routing, per-publish.) Regular
-  /// ticks then audit only dirty/watched subjects; every
-  /// `full_sweep_every_n_ticks`-th scan still audits the full universe as
-  /// a cross-check, counting any finding the incremental path would have
-  /// missed (CrossCheckMisses() must stay 0). Call before Start(); `bus`
-  /// must outlive the monitor.
-  void EnableIncremental(StateDeltaBus& bus,
+  /// there, and hand the backlog to the installers' drain handlers at the
+  /// top of every scan. Regular ticks then audit only dirty/watched
+  /// subjects; every `full_sweep_every_n_ticks`-th scan still audits the
+  /// full universe as a cross-check, counting any finding the incremental
+  /// path would have missed (CrossCheckMisses() must stay 0). Returns false
+  /// — and the monitor stays in full mode — when another consumer already
+  /// holds the bus's staging. Call before Start(); `bus` must outlive the
+  /// monitor.
+  bool EnableIncremental(StateDeltaBus& bus,
                          std::uint32_t full_sweep_every_n_ticks = 10);
   bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
 
-  /// Register a delta-routing hook (one per installer): called for every
-  /// published delta once EnableIncremental is active, marking the
-  /// installer's per-check dirty sets. `kind_mask` (bits positioned by
-  /// DeltaKind value) limits which kinds the router is invoked for —
-  /// routing runs millions of times per run, and skipping a router by a
-  /// bit test beats entering it just to hit a switch default.
-  static constexpr std::uint32_t KindBit(DeltaKind kind) noexcept {
-    return 1u << static_cast<unsigned>(kind);
-  }
-  static constexpr std::uint32_t kAllKinds = 0xFFFFFFFFu;
-  void AddDeltaRouter(DeltaRouter router, std::uint32_t kind_mask = kAllKinds);
-
-  /// Batch alternative to a DeltaRouter for the staged drain: the handler
-  /// walks the bus's Staged*() buffer views directly, so the drain costs
-  /// two indirect calls per scan instead of one per delta. When any drain
-  /// handler is registered the staged backlog goes ONLY to drain handlers
-  /// (routers still serve the inline-subscribe fallback), so an installer
-  /// registering one must fold its router's entire per-kind logic into it.
+  /// Register a staged-backlog consumer (one per installer). At the top of
+  /// every incremental scan each handler walks the bus's Staged*() views
+  /// and marks its per-check dirty sets; the monitor then clears the
+  /// backlog. This is the only way deltas reach the checks.
   using DrainHandler = std::function<void(const StateDeltaBus&)>;
   void AddDrainHandler(DrainHandler handler);
 
@@ -236,7 +221,6 @@ class InvariantMonitor {
     ProfScopeId prof_scope = kInvalidProfScope;
   };
 
-  void RouteDelta(const StateDelta& delta);
   void DumpForensics(const Check& check, const HealthLedger::Delta& delta,
                      double now);
 
@@ -247,15 +231,8 @@ class InvariantMonitor {
   std::uint64_t scans_ = 0;
   std::uint64_t opened_total_ = 0;
   double scan_wall_ms_ = 0.0;
-  StateDeltaBus* bus_ = nullptr;
-  StateDeltaBus::SinkId sink_ = 0;
-  bool staging_ = false;  ///< Claimed the bus's staging buffers (vs sink_).
+  StateDeltaBus* bus_ = nullptr;  ///< Non-null once staging is claimed.
   std::uint32_t full_sweep_every_n_ = 10;
-  struct MaskedRouter {
-    DeltaRouter fn;
-    std::uint32_t kind_mask = kAllKinds;
-  };
-  std::vector<MaskedRouter> routers_;
   std::vector<DrainHandler> drain_handlers_;
   std::vector<std::function<void(double)>> epilogues_;
   std::uint64_t deltas_routed_ = 0;

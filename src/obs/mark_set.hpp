@@ -1,9 +1,9 @@
 #pragma once
 // MarkSet — dirty/deferred marks accumulated from state deltas.
 //
-// Shared by every invariant check auditing the same key space (the delta
-// router inserts each key once instead of once per check — the router runs
-// millions of times per run, the checks ten). Retired by the installer's
+// Shared by every invariant check auditing the same key space (the
+// installer's drain handler inserts each key once instead of once per
+// check — it walks millions of deltas per run, the checks ten). Retired by the installer's
 // scan epilogue after ALL checks consumed it. Split out of invariants.cpp
 // so the one-element dedup memos — which sit directly under the staged
 // drain — have their own regression tests.

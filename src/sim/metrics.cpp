@@ -172,38 +172,16 @@ void Metrics::RecordDrop(const Message& message, DropReason reason) {
   }
 }
 
-void Metrics::RecordDrop(std::string_view type, DropReason reason) {
-  // Plain tallies go to the lane; the named counter goes through the
-  // shared (striped) registry so MergedCounters sees one instrument.
-  if (reason == DropReason::kLoss) {
-    ++Active().dropped_loss_;
-    Bump(util::Format("drop.loss:{}", type));
-  } else {
-    ++Active().dropped_down_;
-    Bump(util::Format("drop.down:{}", type));
-  }
-}
-
 void Metrics::RecordRpcRetry(const Message& request) {
   Metrics& lane = Active();
   ++lane.rpc_retries_;
   ++lane.SlotFor(request).rpc_retry;
 }
 
-void Metrics::RecordRpcRetry(std::string_view type) {
-  ++Active().rpc_retries_;
-  Bump(util::Format("rpc.retry:{}", type));
-}
-
 void Metrics::RecordRpcTimeout(const Message& request) {
   Metrics& lane = Active();
   ++lane.rpc_timeouts_;
   ++lane.SlotFor(request).rpc_timeout;
-}
-
-void Metrics::RecordRpcTimeout(std::string_view type) {
-  ++Active().rpc_timeouts_;
-  Bump(util::Format("rpc.timeout:{}", type));
 }
 
 void Metrics::RecordLookupHops(std::size_t hops) {

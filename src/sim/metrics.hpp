@@ -67,15 +67,12 @@ class Metrics {
 
   /// Record a dropped message, attributed to its cause.
   void RecordDrop(const Message& message, DropReason reason);
-  void RecordDrop(std::string_view type, DropReason reason);
 
   /// Record one RPC attempt re-sent after an unanswered deadline.
   void RecordRpcRetry(const Message& request);
-  void RecordRpcRetry(std::string_view type);
 
   /// Record one RPC that exhausted its attempts and failed to its caller.
   void RecordRpcTimeout(const Message& request);
-  void RecordRpcTimeout(std::string_view type);
 
   /// Record the hop count of one completed DHT lookup.
   void RecordLookupHops(std::size_t hops);

@@ -132,9 +132,9 @@ class Network {
   /// message events while enabled.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// Mutation-delta fan-out for incremental invariant auditing. Protocol
+  /// Mutation-delta staging for incremental invariant auditing. Protocol
   /// stores publish here (guarded by Active()); the InvariantMonitor
-  /// subscribes when running in incremental mode. Inert otherwise.
+  /// claims the staging when running in incremental mode. Inert otherwise.
   obs::StateDeltaBus& delta_bus() noexcept { return delta_bus_; }
   const obs::StateDeltaBus& delta_bus() const noexcept { return delta_bus_; }
 

@@ -1,11 +1,10 @@
 #pragma once
 // Discrete-event simulator core.
 //
-// Single-threaded by design: one Simulator owns one logical timeline, and
-// experiments that sweep parameters run many independent Simulators in
-// parallel (see util::ThreadPool). Events are closures; higher layers
-// (network delivery, protocol timers, workload arrivals) all reduce to
-// ScheduleAt/ScheduleAfter.
+// Single-threaded by design: one Simulator owns one logical timeline
+// (sharded runs give each shard its own; see shard_engine.hpp). Events are
+// closures; higher layers (network delivery, protocol timers, workload
+// arrivals) all reduce to ScheduleAt/ScheduleAfter.
 
 #include <cstdint>
 #include <limits>

@@ -1,5 +1,5 @@
-// StateDeltaBus — sink slot lifecycle (generation-stamped ids over reused
-// slots) and the staging buffers behind the monitor's batched drain.
+// StateDeltaBus — the staging claim and the per-kind staged buffers behind
+// the monitor's batched drain.
 
 #include "obs/delta_bus.hpp"
 
@@ -13,60 +13,12 @@ namespace {
 
 hash::UInt160 Key(std::uint32_t tag) { return hash::UInt160(tag); }
 
-TEST(StateDeltaBus, SubscribeCyclesReuseSlots) {
-  StateDeltaBus bus;
-  // A long-lived run attaches and detaches monitors repeatedly (one per
-  // measured phase). Slots must be reused, not appended forever: Publish
-  // walks the whole slot table on the hottest path in the system.
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    const StateDeltaBus::SinkId id = bus.Subscribe([](const StateDelta&) {});
-    bus.Unsubscribe(id);
-  }
-  EXPECT_LE(bus.SinkSlots(), 1u);
-  EXPECT_FALSE(bus.Active());
-
-  // Peak concurrency, not total cycles, bounds the table.
-  std::vector<StateDeltaBus::SinkId> ids;
-  for (int i = 0; i < 3; ++i) {
-    ids.push_back(bus.Subscribe([](const StateDelta&) {}));
-  }
-  for (const StateDeltaBus::SinkId id : ids) bus.Unsubscribe(id);
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    const StateDeltaBus::SinkId id = bus.Subscribe([](const StateDelta&) {});
-    bus.Unsubscribe(id);
-  }
-  EXPECT_LE(bus.SinkSlots(), 3u);
-}
-
-TEST(StateDeltaBus, StaleIdCannotUnsubscribeSuccessor) {
-  StateDeltaBus bus;
-  int first_calls = 0;
-  int second_calls = 0;
-  const StateDeltaBus::SinkId stale =
-      bus.Subscribe([&](const StateDelta&) { ++first_calls; });
-  bus.Unsubscribe(stale);
-  // The successor reuses the freed slot; the stale id must be inert.
-  const StateDeltaBus::SinkId live =
-      bus.Subscribe([&](const StateDelta&) { ++second_calls; });
-  EXPECT_LE(bus.SinkSlots(), 1u);  // Proves the slot really was reused.
-  bus.Unsubscribe(stale);          // Double-unsubscribe with the old id.
-  EXPECT_TRUE(bus.Active());
-  bus.Publish(StateDelta::Global(DeltaKind::kLpChange));
-  EXPECT_EQ(first_calls, 0);
-  EXPECT_EQ(second_calls, 1);
-  bus.Unsubscribe(live);
-  EXPECT_FALSE(bus.Active());
-  // Unsubscribing twice with the live id is harmless too.
-  bus.Unsubscribe(live);
-  EXPECT_FALSE(bus.Active());
-}
-
 TEST(StateDeltaBus, StagingClaimIsExclusive) {
   StateDeltaBus bus;
   EXPECT_FALSE(bus.Staging());
   EXPECT_TRUE(bus.BeginStaging());
   EXPECT_TRUE(bus.Active());
-  EXPECT_FALSE(bus.BeginStaging());  // Second consumer must fall back.
+  EXPECT_FALSE(bus.BeginStaging());  // A second consumer is refused.
   bus.EndStaging();
   EXPECT_FALSE(bus.Active());
   EXPECT_TRUE(bus.BeginStaging());  // Released claims can be retaken.
@@ -87,29 +39,38 @@ TEST(StateDeltaBus, DrainReplaysStagedDeltasWithFieldsIntact) {
   bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 9));
   EXPECT_EQ(bus.StagedCount(), 4u);
 
-  std::vector<StateDelta> replayed;
-  bus.DrainStaged([&](const StateDelta& d) { replayed.push_back(d); });
-  EXPECT_EQ(bus.StagedCount(), 0u);
-  ASSERT_EQ(replayed.size(), 4u);
+  // Each kind lands in its own buffer with the fields it consumes.
+  ASSERT_EQ(bus.StagedMembership().size(), 1u);
+  EXPECT_EQ(bus.StagedMembership()[0], 9u);
+  ASSERT_EQ(bus.StagedVisits().size(), 1u);
+  const StateDeltaBus::StagedVisit& v = bus.StagedVisits()[0];
+  EXPECT_EQ(v.actor, 7u);
+  EXPECT_EQ(v.object, Key(1));
+  EXPECT_EQ(v.when, 10.0);
+  EXPECT_EQ(v.gate, 25.0);
 
-  // Replay is grouped by kind (membership first, then the ordered index
-  // stream, then visits); within the index stream arrival order survives —
-  // the site mirror depends on upsert-before-erase.
-  EXPECT_EQ(replayed[0].kind, DeltaKind::kMembership);
-  EXPECT_EQ(replayed[0].actor, 9u);
-  EXPECT_EQ(replayed[1].kind, DeltaKind::kIndexUpsert);
-  EXPECT_EQ(replayed[1].when, 30.0);
-  EXPECT_TRUE(replayed[1].individual);
-  EXPECT_EQ(replayed[2].kind, DeltaKind::kIndexErase);
-  EXPECT_EQ(replayed[3].kind, DeltaKind::kIopVisit);
-  EXPECT_EQ(replayed[3].actor, 7u);
-  EXPECT_EQ(replayed[3].object, Key(1));
-  EXPECT_EQ(replayed[3].when, 10.0);
-  EXPECT_EQ(replayed[3].gate, 25.0);
+  // Upserts and erases share one stream in arrival order — the site mirror
+  // depends on upsert-before-erase.
+  const auto& index = bus.StagedIndexStream();
+  ASSERT_EQ(index.size(), 2u);
+  EXPECT_FALSE(index[0].erase);
+  EXPECT_EQ(index[0].actor, 8u);
+  EXPECT_EQ(index[0].object, Key(2));
+  EXPECT_EQ(index[0].when, 30.0);
+  EXPECT_TRUE(index[0].individual);
+  EXPECT_TRUE(index[1].erase);
+  EXPECT_TRUE(index[1].individual);
+
+  bus.ClearStaged();
+  EXPECT_EQ(bus.StagedCount(), 0u);
+  EXPECT_TRUE(bus.StagedMembership().empty());
+  EXPECT_TRUE(bus.StagedVisits().empty());
+  EXPECT_TRUE(bus.StagedIndexStream().empty());
 
   // A drained bus stages the next interval into clean buffers.
   bus.Publish(StateDelta::Global(DeltaKind::kLpChange));
   EXPECT_EQ(bus.StagedCount(), 1u);
+  EXPECT_EQ(bus.StagedLpChanges(), 1u);
   bus.EndStaging();
 }
 
@@ -119,27 +80,10 @@ TEST(StateDeltaBus, EndStagingDiscardsBacklog) {
   bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 1));
   bus.EndStaging();
   ASSERT_TRUE(bus.BeginStaging());
-  int replayed = 0;
-  bus.DrainStaged([&](const StateDelta&) { ++replayed; });
-  EXPECT_EQ(replayed, 0);
+  EXPECT_EQ(bus.StagedCount(), 0u);
+  EXPECT_TRUE(bus.StagedMembership().empty());
+  EXPECT_EQ(bus.Published(), 1u);  // The publish tally survives the discard.
   bus.EndStaging();
-}
-
-TEST(StateDeltaBus, StagingAndSinksCompose) {
-  StateDeltaBus bus;
-  int inline_calls = 0;
-  const StateDeltaBus::SinkId id =
-      bus.Subscribe([&](const StateDelta&) { ++inline_calls; });
-  ASSERT_TRUE(bus.BeginStaging());
-  bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 1));
-  // The inline sink saw it immediately; the staging buffer holds it too.
-  EXPECT_EQ(inline_calls, 1);
-  EXPECT_EQ(bus.StagedCount(), 1u);
-  bus.EndStaging();
-  EXPECT_TRUE(bus.Active());  // The sink alone keeps the bus armed.
-  bus.Unsubscribe(id);
-  EXPECT_FALSE(bus.Active());
-  EXPECT_EQ(bus.Published(), 1u);
 }
 
 }  // namespace

@@ -241,6 +241,54 @@ TEST(InvariantMonitor, RepairLatencyFeedsHistograms) {
   EXPECT_EQ(registry.CounterValue("invariant.violations_healed"), 1u);
 }
 
+// --- Incremental attachment -------------------------------------------------
+
+TEST(InvariantMonitor, SecondMonitorOnClaimedBusStaysInFullMode) {
+  sim::Simulator sim;
+  Registry registry;
+  StateDeltaBus bus;
+  InvariantMonitor first(sim, registry);
+  ASSERT_TRUE(first.EnableIncremental(bus));
+  {
+    InvariantMonitor second(sim, registry);
+    EXPECT_FALSE(second.EnableIncremental(bus));
+    EXPECT_FALSE(second.IncrementalEnabled());
+    bool incremental = true;
+    bool full_pass = false;
+    second.AddCheck("probe", Severity::kWarn, [&](CheckContext& ctx) {
+      incremental = ctx.Incremental();
+      full_pass = ctx.FullPass();
+    });
+    second.RunOnce();
+    second.RunOnce();
+    EXPECT_FALSE(incremental);
+    EXPECT_TRUE(full_pass);
+    EXPECT_EQ(second.FullSweeps(), second.ScansRun());
+  }
+  // The refused monitor never held the claim, so its destruction must not
+  // release the first monitor's staging.
+  EXPECT_TRUE(bus.Staging());
+  EXPECT_TRUE(first.IncrementalEnabled());
+}
+
+TEST(InvariantMonitor, IncrementalWithoutInstallersClearsBacklog) {
+  sim::Simulator sim;
+  Registry registry;
+  StateDeltaBus bus;
+  InvariantMonitor monitor(sim, registry);
+  ASSERT_TRUE(monitor.EnableIncremental(bus));
+  for (std::uint32_t actor = 0; actor < 5; ++actor) {
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingNeighbors, actor));
+  }
+  bus.Publish(StateDelta::Global(DeltaKind::kLpChange));
+  EXPECT_EQ(bus.StagedCount(), 6u);
+  monitor.RunOnce();
+  EXPECT_EQ(bus.StagedCount(), 0u);
+  EXPECT_TRUE(bus.StagedNeighbors().empty());
+  EXPECT_EQ(bus.StagedLpChanges(), 0u);
+  EXPECT_EQ(monitor.DeltasRouted(), 6u);
+}
+
 // --- Ring checks: seeded corruption ----------------------------------------
 
 class RingFixture {

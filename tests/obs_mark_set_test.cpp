@@ -1,4 +1,4 @@
-// MarkSet — the dirty/deferred bookkeeping the delta router feeds millions
+// MarkSet — the dirty/deferred bookkeeping the staged drain feeds millions
 // of times per run. The one-element dedup memos sit directly under the
 // staged drain; these are the regression tests for their invalidation
 // rules (a stale memo silently swallows a mark, which surfaces as a

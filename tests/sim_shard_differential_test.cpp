@@ -13,8 +13,8 @@
 // graceful leaves, captures, live trace/locate queries) with an
 // incremental invariant monitor riding along on the control plane — so a
 // pass also certifies the observability lanes: per-shard delta buses
-// merged at window barriers feed the monitor the same backlog the inline
-// single-threaded publish path does (zero cross-check misses), and the
+// merged at window barriers feed the monitor the same staged backlog the
+// single-threaded run stages directly (zero cross-check misses), and the
 // run self-heals (zero open violations at quiesce) at every shard count.
 //
 // Determinism preconditions baked into the config (see DESIGN.md §13):
