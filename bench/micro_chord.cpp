@@ -15,13 +15,12 @@ using namespace peertrack;
 
 struct RingHarness {
   explicit RingHarness(std::size_t n)
-      : latency(5.0), rng(7), network(sim, latency, rng), ring(network) {
+      : latency(5.0), network(sim, latency, /*seed=*/7), ring(network) {
     for (std::size_t i = 0; i < n; ++i) ring.AddNode(util::Format("bench-{}", i));
     ring.OracleBootstrap();
   }
   sim::Simulator sim;
   sim::ConstantLatency latency;
-  util::Rng rng;
   sim::Network network;
   chord::ChordRing ring;
 };

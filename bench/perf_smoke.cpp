@@ -454,18 +454,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "(scaling leg %zu-shard: wall %.1f ms)\n", shards,
                  par.WallTotalMs());
     // Differential cross-check: the sharded kernel must reproduce the
-    // single-threaded final state. (Event counts legitimately differ a
-    // little — retry timers draw per-actor RNG streams under sharding —
-    // but the wire totals, captures and query outcomes may not.)
-    if (par.messages != base.messages || par.bytes != base.bytes ||
-        par.captures != base.captures || par.queries_ok != base.queries_ok ||
+    // single-threaded final state, event count included.
+    if (par.events != base.events || par.messages != base.messages ||
+        par.bytes != base.bytes || par.captures != base.captures ||
+        par.queries_ok != base.queries_ok ||
         par.queries_failed != base.queries_failed) {
       std::fprintf(
           stderr,
           "perf_smoke: %zu-shard leg diverged from the 1-shard oracle: "
-          "messages %llu vs %llu, bytes %llu vs %llu, captures %llu vs %llu, "
-          "queries_ok %zu vs %zu\n",
-          shards, static_cast<unsigned long long>(par.messages),
+          "events %llu vs %llu, messages %llu vs %llu, bytes %llu vs %llu, "
+          "captures %llu vs %llu, queries_ok %zu vs %zu\n",
+          shards, static_cast<unsigned long long>(par.events),
+          static_cast<unsigned long long>(base.events),
+          static_cast<unsigned long long>(par.messages),
           static_cast<unsigned long long>(base.messages),
           static_cast<unsigned long long>(par.bytes),
           static_cast<unsigned long long>(base.bytes),

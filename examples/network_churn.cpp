@@ -66,8 +66,7 @@ void RunChordChurnPhase(std::size_t n, AuditMode mode,
   std::printf("--- phase 1: Chord membership under churn (%zu nodes) ---\n", n);
   sim::Simulator sim;
   sim::ConstantLatency latency(5.0);
-  util::Rng rng(17);
-  sim::Network network(sim, latency, rng);
+  sim::Network network(sim, latency, /*seed=*/17);
   chord::ChordRing::Options options;
   options.stabilize_every_ms = 100.0;
   options.fix_fingers_every_ms = 10.0;
@@ -124,7 +123,7 @@ double RunGossipPhase(std::size_t n) {
   sim::Simulator sim;
   sim::ConstantLatency latency(5.0);
   util::Rng rng(23);
-  sim::Network network(sim, latency, rng);
+  sim::Network network(sim, latency, /*seed=*/23);
   estimate::SizeEstimationEpoch epoch(network, rng, n);
   epoch.Start(/*round_ms=*/50.0, /*rounds=*/50);
   sim.Run();

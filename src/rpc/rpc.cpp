@@ -102,13 +102,12 @@ void RpcClient::CancelAll() {
 
 double RpcClient::JitteredTimeout(const RetryPolicy& policy, int attempt) {
   const double timeout = policy.TimeoutForAttempt(attempt);
-  // The caller's own stream keeps jitter draws deterministic under the
-  // sharded kernel (shared-stream draw order would depend on shard
-  // interleaving); un-sharded, ActorRng is the shared stream and the scale
-  // is 1 — bit-identical to the legacy kernel.
-  const double jitter = policy.jitter * network_.rpc_jitter_scale();
-  if (jitter <= 0.0) return timeout;
-  return timeout * (1.0 + network_.ActorRng(self_).NextDouble(-jitter, jitter));
+  // The caller's own stream keeps jitter draws independent of the shard
+  // count: draw order across actors follows shard interleaving, draw
+  // values do not.
+  if (policy.jitter <= 0.0) return timeout;
+  return timeout * (1.0 + network_.ActorRng(self_).NextDouble(-policy.jitter,
+                                                              policy.jitter));
 }
 
 }  // namespace peertrack::rpc

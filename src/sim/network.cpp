@@ -16,39 +16,29 @@ MsgTypeId AllocateMsgTypeId() noexcept {
 
 }  // namespace detail
 
-Network::Network(Simulator& simulator, LatencyModel& latency, util::Rng& rng)
-    : simulator_(simulator), latency_(latency), rng_(rng) {
+Network::Network(Simulator& simulator, LatencyModel& latency,
+                 std::uint64_t seed, std::size_t shards)
+    : latency_(latency),
+      engine_(simulator, shards, latency.Floor()),
+      seed_(seed) {
   delivery_scopes_ =
       std::make_unique<std::atomic<obs::ProfScopeId>[]>(kMaxDeliveryScopes);
   for (std::size_t i = 0; i < kMaxDeliveryScopes; ++i) {
     delivery_scopes_[i].store(obs::kInvalidProfScope,
                               std::memory_order_relaxed);
   }
+  // Metrics and the delta bus grow per-lane state for the shard threads
+  // (no-ops at S=1); the bus's lanes merge at every window barrier.
+  metrics_.EnableLanes(shards);
+  delta_bus_.EnableLanes(shards);
+  engine_.SetBarrierHook([this] { delta_bus_.MergeStagedLanes(); });
 }
 
 ActorId Network::Register(Actor& actor) {
   actors_.push_back(Slot{&actor, true});
   const auto id = static_cast<ActorId>(actors_.size() - 1);
-  if (engine_ != nullptr) actor_rngs_.emplace_back(ActorSeed(id));
+  actor_rngs_.emplace_back(ActorSeed(id));
   return id;
-}
-
-void Network::EnableSharding(ShardEngine& engine, std::uint64_t seed) {
-  if (engine_ != nullptr) return;
-  engine_ = &engine;
-  shard_seed_ = seed;
-  for (ActorId id = 0; id < actors_.size(); ++id) {
-    actor_rngs_.emplace_back(ActorSeed(id));
-  }
-  const std::size_t lanes = engine.ShardCount();
-  metrics_.EnableLanes(lanes);
-  delta_bus_.EnableLanes(lanes);
-  if (recorder_ != nullptr) {
-    recorder_->EnableLanes(lanes);
-    for (std::uint32_t s = 1; s < lanes; ++s) {
-      recorder_->BindLaneClock(s, engine.SimOf(s).NowPtr());
-    }
-  }
 }
 
 obs::ProfScopeId Network::DeliveryScope(const Message& message) {
@@ -82,26 +72,16 @@ void Network::Deliver(ActorId from, ActorId to,
   slot.actor->OnMessage(from, std::move(msg));
 }
 
-void Network::ScheduleDelivery(ActorId from, ActorId to, double delay,
-                               std::unique_ptr<Message> message) {
-  if (engine_ == nullptr) {
-    simulator_.ScheduleAfter(
-        delay, [this, from, to, msg = std::move(message)]() mutable {
-          Deliver(from, to, std::move(msg));
-        });
-    return;
-  }
-  const std::uint32_t dst = engine_->ShardOf(to);
-  const Time deliver_at = engine_->CurrentSim().Now() + delay;
-  auto action = [this, from, to, msg = std::move(message)]() mutable {
-    Deliver(from, to, std::move(msg));
-  };
-  if (engine_->InParallelSection() && dst != engine_->CurrentShard()) {
-    engine_->StageCrossShard(dst, deliver_at, std::move(action));
+void Network::ScheduleOn(ActorId to, double delay,
+                         util::UniqueFunction<void()> action) {
+  const std::uint32_t dst = engine_.ShardOf(to);
+  const Time at = engine_.CurrentSim().Now() + delay;
+  if (engine_.InParallelSection() && dst != engine_.CurrentShard()) {
+    engine_.StageCrossShard(dst, at, std::move(action));
   } else {
     // Same shard mid-window, or the coordinator phase (workers parked):
     // inject directly into the owner shard's queue.
-    engine_->SimOf(dst).ScheduleAt(deliver_at, std::move(action));
+    engine_.SimOf(dst).ScheduleAt(at, std::move(action));
   }
 }
 
@@ -135,54 +115,9 @@ void Network::Send(ActorId from, ActorId to, std::unique_ptr<Message> message) {
       return;  // Lost on the wire; the sender still paid for it.
     }
   }
-  ScheduleDelivery(from, to, delay, std::move(message));
-}
-
-void Network::SendInstant(ActorId from, ActorId to, std::unique_ptr<Message> message) {
-  if (to >= actors_.size()) {
-    util::LogWarn("SendInstant to unknown actor {}", to);
-    return;
-  }
-  if (from != to) {
-    util::Rng& rng = ActorRng(from);
-    const std::size_t bytes = kMessageHeaderBytes + message->ApproxBytes();
-    metrics_.RecordMessage(*message, bytes, from, to);
-    if (tracer_.Enabled()) {
-      tracer_.RecordMessage(simulator().Now(), from, to, message->TypeName(),
-                            bytes, message->trace);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->RegisterTypeName(message->TypeId(), message->TypeName());
-      recorder_->RecordMessage(obs::RecEvent::kMsgSend, from, to,
-                               message->TypeId());
-    }
-    // Instant sends still cross the wire: roll the same loss model as
-    // Send(). (This used to be skipped, silently making every SendInstant
-    // reliable under failure injection.)
-    if (loss_rate_ > 0.0 && rng.NextBool(loss_rate_)) {
-      metrics_.RecordDrop(*message, Metrics::DropReason::kLoss);
-      if (recorder_ != nullptr) {
-        recorder_->RecordMessage(obs::RecEvent::kMsgDrop, to, from,
-                                 message->TypeId());
-      }
-      return;
-    }
-  }
-  if (engine_ != nullptr && engine_->InParallelSection()) {
-    const std::uint32_t dst = engine_->ShardOf(to);
-    if (dst != engine_->CurrentShard()) {
-      // A synchronous cross-shard delivery mid-window would touch another
-      // thread's actor state; defer it to the window boundary instead
-      // (StageCrossShard clamps time-0 deliveries to the window end and
-      // counts the deferral).
-      engine_->StageCrossShard(
-          dst, 0.0, [this, from, to, msg = std::move(message)]() mutable {
-            Deliver(from, to, std::move(msg));
-          });
-      return;
-    }
-  }
-  Deliver(from, to, std::move(message));
+  ScheduleOn(to, delay, [this, from, to, msg = std::move(message)]() mutable {
+    Deliver(from, to, std::move(msg));
+  });
 }
 
 void Network::SetUp(ActorId id, bool up) {
@@ -200,14 +135,12 @@ void Network::SetLossRate(double probability) {
 void Network::EnableRecorder(std::size_t events_per_actor) {
   if (recorder_ != nullptr || events_per_actor == 0) return;
   recorder_ = std::make_unique<obs::FlightRecorder>(events_per_actor);
-  recorder_->BindClock(simulator_.NowPtr());
+  recorder_->BindClock(engine_.SimOf(0).NowPtr());
   delta_bus_.AttachRecorder(recorder_.get());
-  if (engine_ != nullptr) {
-    const std::size_t lanes = engine_->ShardCount();
-    recorder_->EnableLanes(lanes);
-    for (std::uint32_t s = 1; s < lanes; ++s) {
-      recorder_->BindLaneClock(s, engine_->SimOf(s).NowPtr());
-    }
+  const std::size_t lanes = engine_.ShardCount();
+  recorder_->EnableLanes(lanes);
+  for (std::uint32_t s = 1; s < lanes; ++s) {
+    recorder_->BindLaneClock(s, engine_.SimOf(s).NowPtr());
   }
 }
 

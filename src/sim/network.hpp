@@ -96,9 +96,13 @@ class Actor {
 
 class Network {
  public:
-  /// The network borrows the simulator, latency model, and RNG; all must
-  /// outlive it.
-  Network(Simulator& simulator, LatencyModel& latency, util::Rng& rng);
+  /// The network borrows the simulator and latency model; both must
+  /// outlive it. It owns the kernel: a ShardEngine over `simulator` with
+  /// `shards` shards (1 = thread-free pass-through on `simulator`) whose
+  /// lookahead is the latency floor. Every actor draws from its own
+  /// stream derived from `seed`.
+  Network(Simulator& simulator, LatencyModel& latency, std::uint64_t seed,
+          std::size_t shards = 1);
 
   /// Register an actor (must outlive the network's last delivery to it).
   ActorId Register(Actor& actor);
@@ -106,16 +110,10 @@ class Network {
   std::size_t ActorCount() const noexcept { return actors_.size(); }
 
   /// Queue a message for delivery. Self-sends are free (no latency, no
-  /// metric); remote sends sample latency and are recorded. Messages to
-  /// down actors are dropped at delivery time (the sender still pays the
-  /// send).
+  /// metric, no loss roll); remote sends sample latency and are recorded.
+  /// Messages to down actors are dropped at delivery time (the sender
+  /// still pays the send).
   void Send(ActorId from, ActorId to, std::unique_ptr<Message> message);
-
-  /// Deliver synchronously with zero latency but full cost accounting.
-  /// Used by protocol steps the paper models as message exchanges but whose
-  /// timing is irrelevant to the experiment (e.g. background index
-  /// persistence); keeps event volume low in big sweeps.
-  void SendInstant(ActorId from, ActorId to, std::unique_ptr<Message> message);
 
   void SetUp(ActorId id, bool up);
   bool IsUp(ActorId id) const;
@@ -138,77 +136,55 @@ class Network {
   obs::StateDeltaBus& delta_bus() noexcept { return delta_bus_; }
   const obs::StateDeltaBus& delta_bus() const noexcept { return delta_bus_; }
 
-  /// The simulator the calling thread should schedule on. Un-sharded this
-  /// is *the* simulator; sharded it routes through the engine's TLS — a
-  /// worker inside a window gets its shard's simulator, the coordinator
-  /// gets the control simulator. Delivery-relative timers (rpc deadlines)
-  /// stay deterministic because the calling context is deterministic.
-  Simulator& simulator() noexcept {
-    return engine_ == nullptr ? simulator_ : engine_->CurrentSim();
-  }
-  /// The simulator that owns `id`'s events (its shard's, or the one
-  /// simulator un-sharded). Self-timers (window flushes, anti-entropy,
-  /// chord maintenance) must go here so they run inside the owner's shard.
+  /// The simulator the calling thread should schedule on, via the engine's
+  /// TLS: a worker inside a window gets its shard's simulator, the
+  /// coordinator gets the control simulator (the root at S=1).
+  /// Delivery-relative timers (rpc deadlines) stay deterministic because
+  /// the calling context is deterministic.
+  Simulator& simulator() noexcept { return engine_.CurrentSim(); }
+  /// The simulator that owns `id`'s events (its shard's). Self-timers
+  /// (window flushes, anti-entropy, chord maintenance) must go here so
+  /// they run inside the owner's shard.
   Simulator& SimulatorFor(ActorId id) noexcept {
-    return engine_ == nullptr ? simulator_
-                              : engine_->SimOf(engine_->ShardOf(id));
+    return engine_.SimOf(engine_.ShardOf(id));
   }
   /// The control-plane simulator: timers whose handlers make cross-actor
   /// direct calls (graceful-leave settlement) must run there, where every
   /// shard is parked.
-  Simulator& ControlSimulator() noexcept {
-    return engine_ == nullptr ? simulator_ : engine_->control();
-  }
+  Simulator& ControlSimulator() noexcept { return engine_.control(); }
 
-  /// Run `action` against `actor`'s private state. Every legal context —
-  /// un-sharded, coordinator phase (workers parked), or mid-window on the
-  /// actor's own shard — runs it synchronously, exactly the legacy direct
-  /// call. Mid-window on a *different* shard the action is staged onto the
-  /// actor's shard at the conservative window boundary instead, so no
-  /// actor's state is ever touched from a foreign thread. Direct-call RPC
-  /// sites (index migration, split/merge re-delivery) keep their wire
-  /// accounting on the caller and push only the destination-side state
-  /// writes through here.
+  /// Run `action` against `actor`'s private state. Direct-call RPC sites
+  /// (index migration, split/merge and delegation re-delivery) keep their
+  /// wire accounting on the caller and push only the destination-side
+  /// state writes through here. In the coordinator phase between runs
+  /// (GrowNetwork, Lp recompute) the action runs now, as a direct call.
+  /// From inside an event — protocol and control events alike, whichever
+  /// entrypoint dispatched it — it is a hand-off on the wire: it runs on
+  /// the actor's shard one latency floor (the engine's lookahead) later.
+  /// The hand-off never reaches into a foreign shard's window, and it
+  /// lands at the same instant whatever the shard count.
   void RunOnActor(ActorId actor, util::UniqueFunction<void()> action) {
-    if (engine_ != nullptr && engine_->InParallelSection()) {
-      const std::uint32_t dst = engine_->ShardOf(actor);
-      if (dst != engine_->CurrentShard()) {
-        engine_->StageCrossShard(dst, engine_->CurrentSim().Now(),
-                                 std::move(action));
-        return;
-      }
+    if (!simulator().InEvent()) {
+      action();
+      return;
     }
-    action();
+    ScheduleOn(actor, engine_.Lookahead(), std::move(action));
   }
 
-  util::Rng& rng() noexcept { return rng_; }
-  /// RNG for `id`'s send-side draws (latency jitter, loss). Un-sharded this
-  /// is the shared stream — bit-identical to the legacy kernel. Sharded,
-  /// each actor owns a seed-derived stream, so draw *order* across actors
-  /// (which depends on shard interleaving) cannot change draw *values*.
-  util::Rng& ActorRng(ActorId id) noexcept {
-    return engine_ == nullptr ? rng_ : actor_rngs_[id];
-  }
+  /// RNG for `id`'s send-side draws (latency jitter, loss, rpc timeout
+  /// jitter): a stream of its own, seeded from the run seed. Draw *order*
+  /// across actors depends on shard interleaving; draw *values* do not, so
+  /// every shard count draws the same numbers.
+  util::Rng& ActorRng(ActorId id) noexcept { return actor_rngs_[id]; }
 
-  /// Attach the sharded engine: per-actor RNG streams are seeded for every
-  /// registered actor (and every future Register), and the metrics, delta
-  /// bus and recorder grow per-lane state for ShardCount() writer threads.
-  /// Call after actors and observers are set up but before the first run;
-  /// idempotent.
-  void EnableSharding(ShardEngine& engine, std::uint64_t seed);
-  ShardEngine* engine() noexcept { return engine_; }
-  const ShardEngine* engine() const noexcept { return engine_; }
-
-  /// Scale applied to every rpc retry-policy jitter fraction (default 1).
-  /// Differential tests set 0 so oracle and sharded legs draw nothing.
-  void SetRpcJitterScale(double scale) noexcept { rpc_jitter_scale_ = scale; }
-  double rpc_jitter_scale() const noexcept { return rpc_jitter_scale_; }
+  ShardEngine& engine() noexcept { return engine_; }
+  const ShardEngine& engine() const noexcept { return engine_; }
 
   /// Turn on black-box flight recording: per-actor rings of
   /// `events_per_actor` protocol events (message send/recv/drop here, state
   /// mutations via the delta bus, direct protocol events at their call
   /// sites). Idempotent; 0 leaves recording off. The recorder is clock-
-  /// bound to this network's simulator and attached to the delta bus.
+  /// bound to the shard simulators and attached to the delta bus.
   void EnableRecorder(std::size_t events_per_actor);
   /// The recorder, or nullptr while recording is off. Record call sites
   /// guard on the pointer — one predictable branch when disabled.
@@ -236,21 +212,20 @@ class Network {
   /// Seed of `id`'s private RNG stream (splitmix-style spread of the run
   /// seed, so neighbouring ids don't correlate).
   std::uint64_t ActorSeed(ActorId id) const noexcept {
-    return shard_seed_ ^ (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(id) + 1));
+    return seed_ ^ (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(id) + 1));
   }
 
   /// Run `message`'s delivery on `to`'s owning thread: liveness check,
-  /// recv/drop accounting, OnMessage. Exactly the legacy delivery closure.
+  /// recv/drop accounting, OnMessage.
   void Deliver(ActorId from, ActorId to, std::unique_ptr<Message> message);
-  /// Queue an already-accounted message: legacy ScheduleAfter, or — when
-  /// sharded — direct injection into the owner shard's queue, via the
-  /// engine's cross-shard mailbox if a parallel window is running.
-  void ScheduleDelivery(ActorId from, ActorId to, double delay,
-                        std::unique_ptr<Message> message);
+  /// Queue `action` on `to`'s shard `delay` ms from now — via the engine's
+  /// cross-shard mailbox if a parallel window is running.
+  void ScheduleOn(ActorId to, double delay,
+                  util::UniqueFunction<void()> action);
 
-  Simulator& simulator_;
   LatencyModel& latency_;
-  util::Rng& rng_;
+  ShardEngine engine_;
+  std::uint64_t seed_;
   Metrics metrics_;
   obs::Tracer tracer_;
   obs::StateDeltaBus delta_bus_;
@@ -260,12 +235,9 @@ class Network {
   /// delivery_scopes_[MsgTypeId] = interned "deliver.<TypeName>" scope
   /// (kInvalidProfScope until that type's first delivery).
   std::unique_ptr<std::atomic<obs::ProfScopeId>[]> delivery_scopes_;
-  ShardEngine* engine_ = nullptr;
-  std::uint64_t shard_seed_ = 0;
-  /// Per-actor RNG streams (sharded runs only). Deque: grows under
-  /// GrowNetwork joins without moving existing streams.
+  /// Per-actor RNG streams. Deque: grows under GrowNetwork joins without
+  /// moving existing streams.
   std::deque<util::Rng> actor_rngs_;
-  double rpc_jitter_scale_ = 1.0;
 };
 
 }  // namespace peertrack::sim

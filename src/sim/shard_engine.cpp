@@ -7,27 +7,24 @@
 
 namespace peertrack::sim {
 
-thread_local ShardEngine::TlsState ShardEngine::tls_;
+constinit thread_local ShardEngine::TlsState ShardEngine::tls_;
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<Time>::infinity();
 
-std::uint64_t SplitMixHash(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 ShardEngine::ShardEngine(Simulator& root, std::size_t shards,
                          double lookahead_ms)
-    : lookahead_(lookahead_ms) {
+    : control_(&root), lookahead_(lookahead_ms) {
   assert(shards >= 1 && "need at least one shard");
-  assert(lookahead_ms > 0.0 &&
-         "conservative windows require a positive latency floor");
+  if (shards > 1) {
+    assert(lookahead_ms > 0.0 &&
+           "conservative windows require a positive latency floor");
+    owned_control_ = std::make_unique<Simulator>();
+    control_ = owned_control_.get();
+  }
   shards_.reserve(shards);
   shards_.push_back(&root);
   for (std::size_t s = 1; s < shards; ++s) {
@@ -49,13 +46,6 @@ ShardEngine::~ShardEngine() {
   }
   cv_work_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-std::uint32_t ShardEngine::ShardOf(std::uint32_t actor) const noexcept {
-  if (actor < pinned_.size() && pinned_[actor] != 0) {
-    return pinned_[actor] - 1;
-  }
-  return static_cast<std::uint32_t>(SplitMixHash(actor) % shards_.size());
 }
 
 void ShardEngine::PinActor(std::uint32_t actor, std::uint32_t shard) {
@@ -82,7 +72,9 @@ void ShardEngine::StageCrossShard(std::uint32_t dst_shard, Time deliver,
 }
 
 std::uint64_t ShardEngine::ProcessedEvents() const noexcept {
-  std::uint64_t total = control_.ProcessedEvents();
+  // At S=1 the root is both shard 0 and control: count it once.
+  std::uint64_t total =
+      owned_control_ != nullptr ? owned_control_->ProcessedEvents() : 0;
   for (const Simulator* s : shards_) total += s->ProcessedEvents();
   return total;
 }
@@ -188,7 +180,7 @@ std::uint64_t ShardEngine::Advance(Time bound, bool inclusive) {
     for (Simulator* s : shards_) {
       next_shard = std::min(next_shard, s->NextEventTime());
     }
-    const Time next_control = control_.NextEventTime();
+    const Time next_control = control_->NextEventTime();
     const Time next = std::min(next_shard, next_control);
     if (next == kInf) break;  // fully drained
     if (inclusive ? next > bound : next >= bound) break;
@@ -196,7 +188,7 @@ std::uint64_t ShardEngine::Advance(Time bound, bool inclusive) {
       // Control events run serially with every shard parked at exactly
       // this instant; cross-actor direct calls are safe here.
       ParkShards(next_control);
-      control_.RunUntil(next_control);
+      control_->RunUntil(next_control);
       continue;
     }
     Time w_end = next + lookahead_;
@@ -214,22 +206,24 @@ std::uint64_t ShardEngine::Advance(Time bound, bool inclusive) {
 }
 
 std::uint64_t ShardEngine::Run() {
+  if (shards_.size() == 1) return control_->Run();  // S=1 pass-through
   const std::uint64_t n = Advance(kInf, false);
   // Clocks never overshoot their last executed event (RunWindow does not
   // park), so the max across shards + control IS the global last-event
   // time — align everyone there, matching the single-threaded kernel's
   // Now() after a drain.
-  Time latest = control_.Now();
+  Time latest = control_->Now();
   for (const Simulator* s : shards_) latest = std::max(latest, s->Now());
   ParkShards(latest);
-  control_.AdvanceClock(latest);
+  control_->AdvanceClock(latest);
   return n;
 }
 
 std::uint64_t ShardEngine::RunUntil(Time until) {
+  if (shards_.size() == 1) return control_->RunUntil(until);  // pass-through
   const std::uint64_t n = Advance(until, true);
   ParkShards(until);
-  control_.AdvanceClock(until);
+  control_->AdvanceClock(until);
   return n;
 }
 

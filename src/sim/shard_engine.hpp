@@ -43,7 +43,12 @@
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route
 // correctly, and after every barrier it runs an optional hook (the
-// TrackingSystem installs the delta-bus lane merge there).
+// owning Network installs the delta-bus lane merge there).
+//
+// S=1 is a thread-free pass-through: no workers, no windows, and control()
+// is the root simulator itself, so Run/RunUntil are the root's own (drain
+// hooks and the heap's FIFO tie order between control and protocol events
+// included). Callers never branch on the shard count.
 
 #include <atomic>
 #include <condition_variable>
@@ -66,8 +71,9 @@ class ShardEngine {
 
   /// `root` becomes shard 0 (so the owning system's existing simulator and
   /// everything bound to it — recorder clocks, cached pointers — keeps its
-  /// identity); shards 1..S-1 and the control simulator are owned by the
-  /// engine. `lookahead_ms` must be > 0 (the latency floor).
+  /// identity); shards 1..S-1 and, for S > 1, the control simulator are
+  /// owned by the engine. At S=1 the root doubles as the control simulator.
+  /// `lookahead_ms` must be > 0 (the latency floor) when S > 1.
   ShardEngine(Simulator& root, std::size_t shards, double lookahead_ms);
   ~ShardEngine();
 
@@ -78,19 +84,25 @@ class ShardEngine {
   double Lookahead() const noexcept { return lookahead_; }
 
   /// Shard owning `actor`: pinned assignment if set, else hash % S.
-  std::uint32_t ShardOf(std::uint32_t actor) const noexcept;
+  /// Inline: every send and self-timer asks.
+  std::uint32_t ShardOf(std::uint32_t actor) const noexcept {
+    if (actor < pinned_.size() && pinned_[actor] != 0) {
+      return pinned_[actor] - 1;
+    }
+    return static_cast<std::uint32_t>(SplitMixHash(actor) % shards_.size());
+  }
 
   /// Pin an actor to a shard (tests, colocation experiments). Coordinator
   /// phase only — never while a window is running.
   void PinActor(std::uint32_t actor, std::uint32_t shard);
 
   Simulator& SimOf(std::uint32_t shard) noexcept { return *shards_[shard]; }
-  Simulator& control() noexcept { return control_; }
+  Simulator& control() noexcept { return *control_; }
 
   /// Simulator the calling thread schedules on: its shard's during a
   /// parallel window, the control simulator on the coordinator thread.
   Simulator& CurrentSim() noexcept {
-    return tls_.sim != nullptr ? *tls_.sim : control_;
+    return tls_.sim != nullptr ? *tls_.sim : *control_;
   }
 
   /// Shard of the calling thread, kCoordinator outside windows.
@@ -119,7 +131,7 @@ class ShardEngine {
   std::uint64_t RunUntil(Time until);
 
   /// Global clock: all simulators agree between Run/RunUntil calls.
-  Time Now() const noexcept { return control_.Now(); }
+  Time Now() const noexcept { return control_->Now(); }
 
   std::uint64_t ProcessedEvents() const noexcept;
 
@@ -141,7 +153,7 @@ class ShardEngine {
 
   /// Hook run on the coordinator thread after every parallel window's
   /// barrier (before control events or mailbox injection touch the next
-  /// window). The TrackingSystem merges delta-bus lanes here.
+  /// window). The Network merges delta-bus lanes here.
   void SetBarrierHook(util::UniqueFunction<void()> hook) {
     barrier_hook_ = std::move(hook);
   }
@@ -157,6 +169,13 @@ class ShardEngine {
     util::UniqueFunction<void()> action;
   };
 
+  static constexpr std::uint64_t SplitMixHash(std::uint64_t x) noexcept {
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  }
+
   std::uint64_t Advance(Time bound, bool inclusive);
   void RunWindowParallel(Time w_end, bool inclusive);
   void RunShardWindow(std::uint32_t shard);
@@ -164,11 +183,13 @@ class ShardEngine {
   void DrainMailboxes();
   void WorkerMain(std::uint32_t shard);
 
-  static thread_local TlsState tls_;
+  // constinit: other translation units read it without a TLS-init check.
+  static constinit thread_local TlsState tls_;
 
   std::vector<Simulator*> shards_;           // [0] aliases root
   std::vector<std::unique_ptr<Simulator>> owned_;  // shards 1..S-1
-  Simulator control_;
+  std::unique_ptr<Simulator> owned_control_;       // null when S=1
+  Simulator* control_;                             // root when S=1
   double lookahead_;
   std::vector<std::uint32_t> pinned_;  // actor -> shard + 1, 0 = hash
 

@@ -18,7 +18,9 @@ bool Simulator::Step() {
   auto entry = queue_.Pop();
   now_ = entry.time;
   ++processed_;
+  in_event_ = true;
   entry.action();
+  in_event_ = false;
   return true;
 }
 
@@ -36,7 +38,9 @@ std::uint64_t Simulator::RunUntil(Time until) {
     now_ = entry.time;
     ++processed_;
     ++count;
+    in_event_ = true;
     entry.action();
+    in_event_ = false;
   }
   now_ = std::max(now_, until);
   FireDrainHooks(count);
@@ -52,7 +56,9 @@ std::uint64_t Simulator::RunWindow(Time until, bool inclusive) {
     now_ = entry.time;
     ++processed_;
     ++count;
+    in_event_ = true;
     entry.action();
+    in_event_ = false;
   }
   return count;
 }

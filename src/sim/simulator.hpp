@@ -65,6 +65,11 @@ class Simulator {
                           : queue_.NextTime();
   }
 
+  /// True while an event's action runs, whichever entrypoint (Step, Run,
+  /// RunUntil, RunWindow) dispatched it. Network::RunOnActor reads it to
+  /// tell event context from the coordinator phase between runs.
+  bool InEvent() const noexcept { return in_event_; }
+
   std::uint64_t ProcessedEvents() const noexcept { return processed_; }
   std::size_t PendingEvents() const noexcept { return queue_.PendingCount(); }
 
@@ -88,6 +93,7 @@ class Simulator {
   EventQueue queue_;
   Time now_ = 0.0;
   std::uint64_t processed_ = 0;
+  bool in_event_ = false;
   std::vector<DrainHook> drain_hooks_;
   DrainHookId next_drain_hook_ = 1;
 };

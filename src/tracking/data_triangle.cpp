@@ -185,19 +185,26 @@ void TrackerNode::DeliverEntries(
   }
   ChargeRpc(charge_type, 9 + entries.size() * kEntryWireBytes, "track.delegate_ack",
             8, owner_actor);
-  // Wire accounting stays on the caller (above); the owner-side accept
-  // runs through RunOnActor so a split/merge cascade re-delivering to a
-  // gateway on another shard lands on that shard's thread at the window
-  // boundary instead of mutating its bucket from this one.
-  chord_.network().RunOnActor(
-      owner_actor,
-      [&peers = peers_, owner_actor, prefix, entries = std::move(entries),
-       as_delegation]() mutable {
-        TrackerNode* owner = peers.TrackerByActor(owner_actor);
-        if (owner != nullptr) {
-          owner->AcceptEntries(prefix, std::move(entries), as_delegation);
-        }
-      });
+  // Wire accounting stays on the caller (above).
+  auto accept = [&peers = peers_, owner_actor, prefix,
+                 entries = std::move(entries), as_delegation]() mutable {
+    TrackerNode* owner = peers.TrackerByActor(owner_actor);
+    if (owner != nullptr) {
+      owner->AcceptEntries(prefix, std::move(entries), as_delegation);
+    }
+  };
+  // A delegation stays a direct call, like the delegated ascent that reads
+  // it back: the parent's marker is already set, and a child bucket that
+  // arrived later would look stale to a TriangleLookup in between (the
+  // marker dropped, the records stranded). Split/merge re-delivery runs
+  // through RunOnActor, which hands it to the owner's shard one latency
+  // floor later when called from an event, so it never mutates another
+  // shard's bucket from this thread.
+  if (as_delegation) {
+    accept();
+    return;
+  }
+  chord_.network().RunOnActor(owner_actor, std::move(accept));
 }
 
 void TrackerNode::AcceptEntries(

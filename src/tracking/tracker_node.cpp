@@ -696,12 +696,12 @@ void TrackerNode::OnRangeTransfer(const chord::Key& lo, const chord::Key& hi,
   }
   if (moving.empty() && buckets.empty()) return;
 
-  // Extraction and wire accounting happened on the source, above, exactly
-  // in the legacy order. The destination-side writes run through
-  // RunOnActor: synchronous in every legal context, staged onto the new
-  // owner's shard at the window boundary when it lives elsewhere — chord
-  // stabilization fires this from event context, and the migration must
-  // not touch a foreign shard's tracker from this thread.
+  // Extraction and wire accounting happened on the source, above. The
+  // destination-side writes run through RunOnActor: a direct call between
+  // runs (GrowNetwork), a hand-off one latency floor later on the new
+  // owner's shard from event context (chord stabilization, leave
+  // settlement), so the migration never touches a foreign shard's tracker
+  // from this thread.
   chord_.network().RunOnActor(
       new_owner.actor,
       [&peers = peers_, actor = new_owner.actor, moving = std::move(moving),

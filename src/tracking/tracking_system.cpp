@@ -10,17 +10,8 @@ TrackingSystem::TrackingSystem(std::size_t nodes, SystemConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       latency_(sim::MakeLatencyModel(config_.latency)),
-      network_(std::make_unique<sim::Network>(simulator_, *latency_, rng_)) {
-  if (config_.shards > 1) {
-    // The latency floor is the conservative lookahead: a cross-shard send
-    // issued inside a window can never deliver into that same window.
-    engine_ = std::make_unique<sim::ShardEngine>(simulator_, config_.shards,
-                                                 latency_->Floor());
-    network_->EnableSharding(*engine_, config_.seed);
-    engine_->SetBarrierHook(
-        [this] { network_->delta_bus().MergeStagedLanes(); });
-  }
-  network_->SetRpcJitterScale(config_.rpc_jitter_scale);
+      network_(std::make_unique<sim::Network>(simulator_, *latency_,
+                                              config_.seed, config_.shards)) {
   chord::ChordRing::Options ring_options;
   ring_options.stabilize_every_ms = config_.stabilize_every_ms;
   ring_options.fix_fingers_every_ms = config_.fix_fingers_every_ms;
@@ -55,7 +46,7 @@ void TrackingSystem::CaptureAt(std::size_t node_index, const hash::UInt160& obje
   oracle_.RecordMovement(object, static_cast<moods::NodeIndex>(node_index), at);
   PublishObjectTruth(object, at);
   // The capture event belongs to the receptor node, so it runs inside that
-  // node's shard (SimulatorFor is the one simulator un-sharded).
+  // node's shard.
   sim::Simulator& sim = network_->SimulatorFor(actor_of_index_[node_index]);
   sim.ScheduleAt(at, [this, node_index, object, &sim] {
     trackers_[node_index]->OnCapture(object, sim.Now());
@@ -228,15 +219,16 @@ std::vector<std::uint64_t> TrackingSystem::StoredEntriesPerNode() const {
 TrackerNode* TrackingSystem::TrackerByActor(sim::ActorId actor) {
   const moods::NodeIndex index = NodeIndexOfActor(actor);
   if (index == moods::kNowhere) return nullptr;
-  if (engine_ != nullptr && engine_->InParallelSection()) {
+  sim::ShardEngine& engine = network_->engine();
+  if (engine.InParallelSection()) {
     // A worker resolving an actor on another shard is about to make a
     // synchronous cross-actor call — a colocation-contract breach (the
     // delegated-ascent fast path must stay disabled in sharded scenarios).
     // Count it so tests and the bench can assert zero; fail loudly in
     // Debug.
-    const std::uint32_t shard = engine_->ShardOf(actor);
-    if (shard != engine_->CurrentShard()) {
-      engine_->CountCrossShardDirectCall();
+    const std::uint32_t shard = engine.ShardOf(actor);
+    if (shard != engine.CurrentShard()) {
+      engine.CountCrossShardDirectCall();
       assert(false && "cross-shard direct call inside a parallel window");
     }
   }

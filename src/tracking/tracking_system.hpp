@@ -34,14 +34,12 @@ struct SystemConfig {
   double stabilize_every_ms = 0.0;
   double fix_fingers_every_ms = 0.0;
   /// Partition actors across this many shard threads (sim::ShardEngine).
-  /// 1 = the legacy single-threaded kernel, bit-identical to before the
-  /// sharded kernel existed; >= 2 runs conservative parallel windows whose
-  /// lookahead is the latency model's floor. Final-state digests match the
-  /// S=1 oracle for any value (tests/sim_shard_differential_test).
+  /// 1 = the engine's thread-free pass-through on one simulator; >= 2 runs
+  /// conservative parallel windows whose lookahead is the latency model's
+  /// floor. Every actor draws from its own RNG stream at any value, so
+  /// final-state digests match the S=1 oracle for any value
+  /// (tests/sim_shard_differential_test).
   std::size_t shards = 1;
-  /// Scale on every rpc retry-jitter fraction (Network::SetRpcJitterScale).
-  /// Differential tests set 0 so no leg draws jitter at all.
-  double rpc_jitter_scale = 1.0;
 };
 
 class TrackingSystem final : public PeerDirectory {
@@ -56,21 +54,25 @@ class TrackingSystem final : public PeerDirectory {
   std::size_t NodeCount() const noexcept { return trackers_.size(); }
   TrackerNode& Tracker(std::size_t index) { return *trackers_[index]; }
   chord::ChordRing& ring() noexcept { return *ring_; }
+  /// The root simulator: shard 0, and also the control simulator at S=1.
+  /// Drive runs through Run/RunUntil; at S>1 running the root alone runs
+  /// shard 0 only.
   sim::Simulator& simulator() noexcept { return simulator_; }
-  /// The sharded kernel, or nullptr when config.shards <= 1.
-  sim::ShardEngine* engine() noexcept { return engine_.get(); }
-  const sim::ShardEngine* engine() const noexcept { return engine_.get(); }
+  /// The simulation kernel (owned by the network; never null).
+  sim::ShardEngine* engine() noexcept { return &network_->engine(); }
+  const sim::ShardEngine* engine() const noexcept {
+    return &network_->engine();
+  }
   /// Simulator for coordinator-plane periodic work (invariant scans, the
-  /// monitor's BoundedPeriodicSchedule): the control simulator when
-  /// sharded, else the one simulator. Handlers run with every shard
-  /// parked, so cross-actor reads see a globally consistent cut.
+  /// monitor's BoundedPeriodicSchedule): the engine's control simulator
+  /// (the one simulator at S=1). Handlers run with every shard parked, so
+  /// cross-actor reads see a globally consistent cut.
   sim::Simulator& MonitorSimulator() noexcept {
-    return engine_ != nullptr ? engine_->control() : simulator_;
+    return network_->ControlSimulator();
   }
   /// Events processed across the whole system (all shards + control).
   std::uint64_t ProcessedEvents() const noexcept {
-    return engine_ != nullptr ? engine_->ProcessedEvents()
-                              : simulator_.ProcessedEvents();
+    return network_->engine().ProcessedEvents();
   }
   sim::Network& network() noexcept { return *network_; }
   sim::Metrics& metrics() noexcept { return network_->metrics(); }
@@ -89,20 +91,8 @@ class TrackingSystem final : public PeerDirectory {
   void FlushAllWindows();
 
   /// Drain the event queue (all shard queues + control when sharded).
-  void Run() {
-    if (engine_ != nullptr) {
-      engine_->Run();
-    } else {
-      simulator_.Run();
-    }
-  }
-  void RunUntil(moods::Time t) {
-    if (engine_ != nullptr) {
-      engine_->RunUntil(t);
-    } else {
-      simulator_.RunUntil(t);
-    }
-  }
+  void Run() { network_->engine().Run(); }
+  void RunUntil(moods::Time t) { network_->engine().RunUntil(t); }
 
   // --- Queries -------------------------------------------------------------
 
@@ -178,9 +168,6 @@ class TrackingSystem final : public PeerDirectory {
   sim::Simulator simulator_;
   std::unique_ptr<sim::LatencyModel> latency_;
   std::unique_ptr<sim::Network> network_;
-  /// Declared after network_ so it destructs first: worker threads join
-  /// while the network and every shard simulator are still alive.
-  std::unique_ptr<sim::ShardEngine> engine_;
   std::unique_ptr<chord::ChordRing> ring_;
   GlobalPrefixState global_lp_;
   std::vector<std::unique_ptr<TrackerNode>> trackers_;

@@ -178,12 +178,11 @@ PerfSmokeReport RunPerfSmoke(const PerfSmokeParams& params) {
   report.bytes = system->metrics().TotalBytes();
   report.sim_time_ms = system->MonitorSimulator().Now();
   report.shards = config.shards;
-  if (const sim::ShardEngine* engine = system->engine()) {
-    report.shard_windows = engine->WindowsExecuted();
-    report.cross_shard_messages = engine->CrossShardMessages();
-    report.lookahead_deferrals = engine->LookaheadDeferrals();
-    report.cross_shard_direct_calls = engine->CrossShardDirectCalls();
-  }
+  const sim::ShardEngine& engine = *system->engine();
+  report.shard_windows = engine.WindowsExecuted();
+  report.cross_shard_messages = engine.CrossShardMessages();
+  report.lookahead_deferrals = engine.LookaheadDeferrals();
+  report.cross_shard_direct_calls = engine.CrossShardDirectCalls();
   report.metric_rows = system->metrics().CsvRows();
   // Host-clock series (the per-check invariants.check.<id>.wall_ms gauges)
   // are real time, not simulated state: they legitimately differ between

@@ -35,10 +35,10 @@ struct PerfSmokeParams {
   std::uint64_t seed = 0xBE9C5ULL;
 
   /// Shard the event loop across this many threads (sim::ShardEngine).
-  /// 1 is the legacy single-threaded kernel, bit-identical to before
-  /// sharding existed. >= 2 runs conservative parallel windows; the final
-  /// state (messages, bytes, captures, query outcomes, health ledger)
-  /// matches the 1-shard oracle on the same seed. Sharding forces
+  /// 1 runs the engine's thread-free pass-through on one simulator. >= 2
+  /// runs conservative parallel windows; the final state (events,
+  /// messages, bytes, captures, query outcomes, health ledger) matches the
+  /// 1-shard oracle on the same seed. Sharding forces
   /// disable_delegation (the delegated-ascent fast path makes synchronous
   /// cross-actor calls, which would cross shard boundaries).
   std::size_t shards = 1;

@@ -12,7 +12,7 @@ namespace {
 class ChurnFixture {
  public:
   ChurnFixture()
-      : latency_(5.0), rng_(17), net_(sim_, latency_, rng_), ring_(net_, RingOptions()) {}
+      : latency_(5.0), net_(sim_, latency_, /*seed=*/17), ring_(net_, RingOptions()) {}
 
   static ChordRing::Options RingOptions() {
     ChordRing::Options options;
@@ -25,7 +25,6 @@ class ChurnFixture {
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_;
-  util::Rng rng_;
   sim::Network net_;
   ChordRing ring_;
 };

@@ -13,7 +13,7 @@ namespace {
 
 struct DhtFixture {
   explicit DhtFixture(std::size_t n)
-      : latency(5.0), rng(21), network(sim, latency, rng), ring(network) {
+      : latency(5.0), network(sim, latency, /*seed=*/21), ring(network) {
     for (std::size_t i = 0; i < n; ++i) ring.AddNode(util::Format("kv-{}", i));
     ring.OracleBootstrap();
     for (std::size_t i = 0; i < n; ++i) {
@@ -23,7 +23,6 @@ struct DhtFixture {
 
   sim::Simulator sim;
   sim::ConstantLatency latency;
-  util::Rng rng;
   sim::Network network;
   ChordRing ring;
   std::vector<std::unique_ptr<DhtNode>> nodes;

@@ -20,7 +20,7 @@ Key RandomKey(util::Rng& rng) {
 
 class LookupSweep : public ::testing::TestWithParam<std::size_t> {
  protected:
-  LookupSweep() : latency_(5.0), rng_(GetParam()), net_(sim_, latency_, rng_), ring_(net_) {
+  LookupSweep() : latency_(5.0), net_(sim_, latency_, GetParam()), ring_(net_) {
     for (std::size_t i = 0; i < GetParam(); ++i) {
       ring_.AddNode(util::Format("peer-{}", i));
     }
@@ -29,7 +29,6 @@ class LookupSweep : public ::testing::TestWithParam<std::size_t> {
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_;
-  util::Rng rng_;
   sim::Network net_;
   ChordRing ring_;
 };
@@ -89,8 +88,7 @@ INSTANTIATE_TEST_SUITE_P(NetworkSizes, LookupSweep,
 TEST(ChordLookup, OwnKeyResolvesLocally) {
   sim::Simulator sim;
   sim::ConstantLatency latency(5.0);
-  util::Rng rng(4);
-  sim::Network net(sim, latency, rng);
+  sim::Network net(sim, latency, /*seed=*/4);
   ChordRing ring(net);
   for (int i = 0; i < 10; ++i) ring.AddNode(util::Format("n{}", i));
   ring.OracleBootstrap();
@@ -115,8 +113,7 @@ TEST(ChordLookup, OwnKeyResolvesLocally) {
 TEST(ChordLookup, DeadNodeLookupFailsGracefully) {
   sim::Simulator sim;
   sim::ConstantLatency latency(5.0);
-  util::Rng rng(4);
-  sim::Network net(sim, latency, rng);
+  sim::Network net(sim, latency, /*seed=*/4);
   ChordRing ring(net);
   for (int i = 0; i < 4; ++i) ring.AddNode(util::Format("n{}", i));
   ring.OracleBootstrap();
@@ -135,8 +132,7 @@ TEST(ChordLookup, DeadNodeLookupFailsGracefully) {
 TEST(ChordLookup, HopMetricsRecorded) {
   sim::Simulator sim;
   sim::ConstantLatency latency(5.0);
-  util::Rng rng(4);
-  sim::Network net(sim, latency, rng);
+  sim::Network net(sim, latency, /*seed=*/4);
   ChordRing ring(net);
   for (int i = 0; i < 32; ++i) ring.AddNode(util::Format("n{}", i));
   ring.OracleBootstrap();

@@ -11,7 +11,7 @@ namespace {
 class RingFixture {
  public:
   explicit RingFixture(std::size_t n)
-      : latency_(5.0), rng_(42), net_(sim_, latency_, rng_), ring_(net_) {
+      : latency_(5.0), net_(sim_, latency_, /*seed=*/42), ring_(net_) {
     for (std::size_t i = 0; i < n; ++i) {
       ring_.AddNode(util::Format("node-{}", i));
     }
@@ -20,7 +20,6 @@ class RingFixture {
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_;
-  util::Rng rng_;
   sim::Network net_;
   ChordRing ring_;
 };

@@ -24,8 +24,7 @@ class ScrubFixture {
  public:
   explicit ScrubFixture(double death_cert_ttl_ms)
       : latency_(5.0),
-        rng_(17),
-        net_(sim_, latency_, rng_),
+        net_(sim_, latency_, /*seed=*/17),
         ring_(net_, RingOptions(death_cert_ttl_ms)) {}
 
   static ChordRing::Options RingOptions(double death_cert_ttl_ms) {
@@ -56,7 +55,6 @@ class ScrubFixture {
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_;
-  util::Rng rng_;
   sim::Network net_;
   ChordRing ring_;
 };

@@ -8,7 +8,7 @@ namespace peertrack::estimate {
 namespace {
 
 struct GossipFixture {
-  GossipFixture() : latency(5.0), rng(31), network(sim, latency, rng) {}
+  GossipFixture() : latency(5.0), rng(31), network(sim, latency, /*seed=*/31) {}
   sim::Simulator sim;
   sim::ConstantLatency latency;
   util::Rng rng;

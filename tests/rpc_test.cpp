@@ -76,7 +76,7 @@ struct EchoActor final : sim::Actor {
 
 class RpcTest : public ::testing::Test {
  protected:
-  RpcTest() : latency_(5.0), rng_(17), net_(sim_, latency_, rng_) {}
+  RpcTest() : latency_(5.0), net_(sim_, latency_, /*seed=*/17) {}
 
   std::unique_ptr<EchoRequest> MakeRequest(int payload) {
     auto request = std::make_unique<EchoRequest>();
@@ -86,7 +86,6 @@ class RpcTest : public ::testing::Test {
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_;
-  util::Rng rng_;
   sim::Network net_;
 };
 

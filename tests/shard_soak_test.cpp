@@ -37,7 +37,6 @@ void RunSoak(std::uint64_t seed) {
   config.fix_fingers_every_ms = 10.0;
   config.seed = seed;
   config.shards = 8;
-  config.rpc_jitter_scale = 0.0;
   tracking::TrackingSystem system(24, std::move(config));
   util::Rng rng(seed * 6151 + 17);
 

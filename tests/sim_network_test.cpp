@@ -30,11 +30,10 @@ struct Recorder final : Actor {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : latency_(5.0), rng_(1), net_(sim_, latency_, rng_) {}
+  NetworkTest() : latency_(5.0), net_(sim_, latency_, /*seed=*/1) {}
 
   Simulator sim_;
   ConstantLatency latency_;
-  util::Rng rng_;
   Network net_;
 };
 
@@ -98,14 +97,19 @@ TEST_F(NetworkTest, MessageInFlightWhenReceiverGoesDownIsDropped) {
   EXPECT_EQ(net_.metrics().DroppedMessages(), 1u);
 }
 
-TEST_F(NetworkTest, SendInstantDeliversSynchronously) {
+TEST_F(NetworkTest, RunOnActorIsDirectBetweenRunsAndAHandOffInsideOne) {
   Recorder a, b;
-  const ActorId ida = net_.Register(a);
+  net_.Register(a);
   const ActorId idb = net_.Register(b);
-  net_.SendInstant(ida, idb, std::make_unique<TestMessage>(7));
-  // No simulator run needed.
-  ASSERT_EQ(b.received.size(), 1u);
-  EXPECT_EQ(net_.metrics().TotalMessages(), 1u);
+  bool direct = false;
+  net_.RunOnActor(idb, [&] { direct = true; });
+  EXPECT_TRUE(direct);
+  double ran_at = -1.0;
+  sim_.ScheduleAt(2.0, [&] {
+    net_.RunOnActor(idb, [&] { ran_at = sim_.Now(); });
+  });
+  sim_.Run();  // driving the root directly is the same run at S=1
+  EXPECT_DOUBLE_EQ(ran_at, 7.0);  // one latency floor after the caller
 }
 
 TEST_F(NetworkTest, PerActorCountsTrackSendersAndReceivers) {

@@ -4,27 +4,29 @@
 // equivalence, not schedule equivalence: for any shard count S on the same
 // seed, the world a run leaves behind — gateway index contents, IOP visit
 // chains, query answers, the invariant monitor's violation ledger, and the
-// wire-volume totals — must be identical to the S=1 run, which executes on
-// the untouched legacy single-threaded path. Every scenario here runs once
-// per shard count in {1, 2, 4, 8} and diffs a full final-state digest
-// against the S=1 oracle.
+// wire-volume and event totals — must be identical to the S=1 run, which
+// executes on the engine's thread-free pass-through. Every scenario here
+// runs once per shard count in {1, 2, 4, 8} and diffs a full final-state
+// digest against the S=1 oracle.
 //
 // The scenario is the churn-soak schedule (protocol joins, crashes,
 // graceful leaves, captures, live trace/locate queries) with an
 // incremental invariant monitor riding along on the control plane — so a
 // pass also certifies the observability lanes: per-shard delta buses
 // merged at window barriers feed the monitor the same staged backlog the
-// single-threaded run stages directly (zero cross-check misses), and the
-// run self-heals (zero open violations at quiesce) at every shard count.
+// single-threaded run stages directly (zero cross-check misses), and, on
+// the loss-free network, the run self-heals (zero open violations at
+// quiesce) at every shard count.
 //
-// Determinism preconditions baked into the config (see DESIGN.md §13):
-//   * constant latency + zero loss + rpc_jitter_scale = 0: no rng draws in
-//     event context, so per-actor streams vs the shared legacy stream
-//     cannot diverge (neither draws at all);
+// Every actor draws latency, loss and rpc timeout jitter from its own
+// stream at every shard count, so the friendly network (constant latency,
+// no loss) and a lossy, jittery one (uniform 4-6 ms latency, 5% loss) are
+// both held to the oracle. Preconditions baked into the config (see
+// DESIGN.md §13):
 //   * fractional control-plane times (leave settle 2500.13 ms, monitor
 //     period 500.13 ms) so no control event shares an instant with
 //     protocol events — the engine's control-before-shard tie rule and
-//     the legacy heap's FIFO tie rule then cannot disagree;
+//     the S=1 heap's FIFO tie rule then cannot disagree;
 //   * delegation disabled: the delegated-ascent fast path makes
 //     synchronous cross-actor calls, which the colocation contract forbids
 //     across shards (TrackerByActor asserts on it in Debug).
@@ -32,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -147,8 +150,21 @@ void DigestQueries(tracking::TrackingSystem& system,
   }
 }
 
+/// The network a world runs on.
+struct Weather {
+  const char* latency;
+  double loss;
+};
+/// Constant latency and no loss: many same-instant ties, no draws on the
+/// wire (rpc timeouts still draw jitter).
+constexpr Weather kCalm{"constant:5", 0.0};
+/// Every send draws latency and a loss roll from its sender's stream, and
+/// lost messages drive rpc retries with jittered timeouts.
+constexpr Weather kLossy{"uniform:4:6", 0.05};
+
 /// Run the churn scenario at `shards` and return the final-state digest.
-std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards) {
+std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
+                                  const Weather& weather) {
   tracking::SystemConfig config;
   config.tracker.mode = tracking::IndexingMode::kGroup;
   config.tracker.window.tmax_ms = 100.0;
@@ -159,10 +175,11 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards) {
   config.tracker.delegation_threshold = std::numeric_limits<std::size_t>::max();
   config.stabilize_every_ms = 100.0;
   config.fix_fingers_every_ms = 10.0;
+  config.latency = weather.latency;
   config.seed = seed;
   config.shards = shards;
-  config.rpc_jitter_scale = 0.0;
   tracking::TrackingSystem system(16, std::move(config));
+  system.network().SetLossRate(weather.loss);
   util::Rng rng(seed * 7919 + 3);
 
   std::vector<hash::UInt160> objects;
@@ -233,22 +250,30 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards) {
   EXPECT_EQ(monitor.CrossCheckMisses(), 0u)
       << "cross-check miss (seed " << seed << ", shards " << shards << ")";
   EXPECT_GT(monitor.DeltasRouted(), 0u);
-  EXPECT_EQ(monitor.OpenViolations(), 0u)
-      << "violations open at quiesce (seed " << seed << ", shards " << shards
-      << ")";
+  if (weather.loss == 0.0) {
+    // Under loss, rpc retries that run out evict live peers for good, so
+    // the ring does not heal by quiesce; the lossy leg holds its (open)
+    // ledger to the oracle through the digest instead.
+    EXPECT_EQ(monitor.OpenViolations(), 0u)
+        << "violations open at quiesce (seed " << seed << ", shards "
+        << shards << ")";
+  }
 
+  const ShardEngine& engine = *system.engine();
+  EXPECT_EQ(engine.ShardCount(), shards);
   if (shards > 1) {
-    EXPECT_NE(system.engine(), nullptr);
-    if (system.engine() != nullptr) {
-      // The parallel path must actually have run, and the colocation
-      // contract must have held throughout.
-      EXPECT_GT(system.engine()->WindowsExecuted(), 0u);
-      EXPECT_GT(system.engine()->CrossShardMessages(), 0u);
-      EXPECT_EQ(system.engine()->CrossShardDirectCalls(), 0u);
-    }
+    // The parallel path must actually have run, and the colocation
+    // contract must have held throughout.
+    EXPECT_GT(engine.WindowsExecuted(), 0u);
+    EXPECT_GT(engine.CrossShardMessages(), 0u);
+    EXPECT_EQ(engine.CrossShardDirectCalls(), 0u);
   } else {
-    EXPECT_EQ(system.engine(), nullptr)
-        << "shards=1 must run the untouched legacy kernel";
+    EXPECT_EQ(engine.WindowsExecuted(), 0u)
+        << "shards=1 must run the thread-free pass-through";
+  }
+  if (weather.loss > 0.0) {
+    EXPECT_GT(system.metrics().DroppedByLoss(), 0u);
+    EXPECT_GT(system.metrics().RpcRetries(), 0u);
   }
 
   Digest digest;
@@ -256,29 +281,53 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards) {
   DigestIndexes(system, digest);
   DigestIop(system, objects, digest);
   DigestQueries(system, objects, digest);
-  digest.Add(util::Format("metrics messages={} bytes={}",
-                          system.metrics().TotalMessages(),
-                          system.metrics().TotalBytes()));
+  digest.Add(util::Format(
+      "metrics messages={} bytes={} lost={} retries={} timeouts={} events={}",
+      system.metrics().TotalMessages(), system.metrics().TotalBytes(),
+      system.metrics().DroppedByLoss(), system.metrics().RpcRetries(),
+      system.metrics().RpcTimeouts(), system.ProcessedEvents()));
   digest.Sort();
   return digest.lines;
+}
+
+/// The digest lines only one side has, marked "-" (oracle) or "+" (sharded).
+std::string DigestDiff(const std::vector<std::string>& oracle,
+                       const std::vector<std::string>& sharded) {
+  std::vector<std::string> only_oracle, only_sharded;
+  std::set_difference(oracle.begin(), oracle.end(), sharded.begin(),
+                      sharded.end(), std::back_inserter(only_oracle));
+  std::set_difference(sharded.begin(), sharded.end(), oracle.begin(),
+                      oracle.end(), std::back_inserter(only_sharded));
+  std::string out;
+  for (const std::string& line : only_oracle) out += "\n- " + line;
+  for (const std::string& line : only_sharded) out += "\n+ " + line;
+  return out;
+}
+
+void ExpectShardInvariant(std::uint64_t seed, const Weather& weather) {
+  const auto oracle = RunWorld(seed, 1, weather);
+  EXPECT_FALSE(oracle.empty());
+  for (const std::size_t shards : {2ul, 4ul, 8ul}) {
+    const auto sharded = RunWorld(seed, shards, weather);
+    EXPECT_TRUE(oracle == sharded)
+        << "sharded kernel diverged from the single-threaded oracle (seed "
+        << seed << ", shards " << shards << ", latency " << weather.latency
+        << ", loss " << weather.loss << "):" << DigestDiff(oracle, sharded);
+  }
 }
 
 class ShardDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardDifferential, AllShardCountsMatchTheSingleThreadedOracle) {
-  const std::uint64_t seed = GetParam();
-  const auto oracle = RunWorld(seed, 1);
-  EXPECT_FALSE(oracle.empty());
-  for (const std::size_t shards : {2ul, 4ul, 8ul}) {
-    const auto sharded = RunWorld(seed, shards);
-    EXPECT_EQ(oracle, sharded)
-        << "sharded kernel diverged from the single-threaded oracle (seed "
-        << seed << ", shards " << shards << ")";
-  }
+  ExpectShardInvariant(GetParam(), kCalm);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferential,
                          ::testing::Values(11ull, 23ull, 47ull));
+
+TEST(ShardDifferentialLossy, JitteryLossyNetworkMatchesAtEveryShardCount) {
+  ExpectShardInvariant(/*seed=*/11, kLossy);
+}
 
 }  // namespace
 }  // namespace peertrack::sim

@@ -1,7 +1,8 @@
 // Conservative-window semantics of the sharded kernel, pinned at the
 // sim::ShardEngine level (no protocol stack on top): lookahead deferral of
 // below-floor cross-shard sends, exact window-boundary ownership, the
-// control-before-shard tie rule, and liveness with empty shards.
+// control-before-shard tie rule, liveness with empty shards, and the
+// thread-free pass-through at one shard.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,24 @@ TEST(ShardWindow, RunUntilIsInclusiveOfTheBound) {
   EXPECT_EQ(after_bound, 0);
   engine.Run();
   EXPECT_EQ(after_bound, 1);
+}
+
+TEST(ShardWindow, OneShardIsAPassThroughOnTheRoot) {
+  Simulator root;
+  ShardEngine engine(root, 1, kFloor);
+  EXPECT_EQ(&engine.control(), &root);
+  EXPECT_EQ(&engine.CurrentSim(), &root);
+  int drains = 0;
+  root.AddDrainHook([&] { ++drains; });
+  bool in_event = false;
+  root.ScheduleAt(1.0, [&] { in_event = engine.CurrentSim().InEvent(); });
+  root.ScheduleAt(2.0, [] {});
+  EXPECT_EQ(engine.Run(), 2u);
+  EXPECT_TRUE(in_event);
+  EXPECT_FALSE(engine.CurrentSim().InEvent());
+  EXPECT_EQ(engine.ProcessedEvents(), 2u);  // root and control are one
+  EXPECT_EQ(drains, 1);                      // the root's own Run drained
+  EXPECT_EQ(engine.WindowsExecuted(), 0u);
 }
 
 TEST(ShardWindow, PinActorOverridesTheHashAssignment) {

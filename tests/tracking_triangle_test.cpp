@@ -112,6 +112,59 @@ TEST(DataTriangle, MovementAfterDelegationRefreshesFromDescent) {
   }
 }
 
+TEST(DataTriangle, DelegationToAForeignGatewayLeavesNoWindowForLookups) {
+  // A delegation marks the parent and moves the entries to the child
+  // gateway in one step. Were the move to land later, a lookup in between
+  // would find no child bucket, drop the marker as stale, and strand the
+  // delegated records where no later lookup reaches them.
+  TrackingSystem system(8, TriangleConfig(/*delegation_threshold=*/4, /*alpha=*/1.0));
+  const unsigned lp = system.CurrentLp();
+
+  // Five objects under one Lp+1 child whose gateway is not the parent's.
+  hash::Prefix prefix;
+  hash::Prefix child;
+  std::vector<hash::UInt160> objects;
+  for (int i = 0; objects.size() < 5; ++i) {
+    const auto key = hash::ObjectKey("dt-window-" + std::to_string(i));
+    if (objects.empty()) {
+      prefix = hash::Prefix::OfKey(key, lp);
+      child = hash::Prefix::OfKey(key, lp + 1);
+      if (system.OwnerOf(hash::GroupKey(child)) ==
+          system.OwnerOf(hash::GroupKey(prefix))) {
+        continue;
+      }
+    } else if (hash::Prefix::OfKey(key, lp + 1) != child) {
+      continue;
+    }
+    objects.push_back(key);
+  }
+  std::size_t gateway = 0;
+  while (&system.Tracker(gateway) != system.OwnerOf(hash::GroupKey(prefix))) {
+    ++gateway;
+  }
+
+  for (const auto& object : objects) system.CaptureAt(0, object, 10.0);
+  // Step in sub-floor increments until the gateway delegates, then look
+  // up from the gateway itself at that instant.
+  double t = 0.0;
+  while (system.metrics().Counter("track.triangle_delegation") == 0) {
+    ASSERT_LT(t, 10'000.0) << "the gateway never delegated";
+    t += 0.5;
+    system.RunUntil(t);
+  }
+  const auto locate = [&](const hash::UInt160& object) {
+    bool ok = false;
+    system.LocateQuery(gateway, object,
+                       [&](TrackerNode::LocateResult result) { ok = result.ok; });
+    system.Run();
+    return ok;
+  };
+  EXPECT_TRUE(locate(objects.front())) << "lookup inside the latency floor";
+  for (const auto& object : objects) {
+    EXPECT_TRUE(locate(object)) << object.ToShortHex();
+  }
+}
+
 TEST(DataTriangle, NetworkGrowthSplitsBucketsAndKeepsQueriesCorrect) {
   TrackingSystem system(24, TriangleConfig(1 << 20));
   const auto scenario = workload::ExecuteScenario(system, SmallWorkload(24, 80), 5);
