@@ -8,6 +8,7 @@
 
 #include "chord/chord_ring.hpp"
 #include "util/format.hpp"
+#include "util/stats.hpp"
 
 namespace {
 

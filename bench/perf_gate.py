@@ -14,7 +14,12 @@ fails (exit 1) when the run regressed past the thresholds:
     gets under the ceiling the check is advisory (the growth limit still
     holds the line), so the gate stays green while that work is in flight.
 
-Both comparisons only run when the two documents ran the same workload
+  * any simulated-outcome field (events, messages, bytes, captures,
+    queries_ok, queries_failed, sim_time_ms) differs from the baseline at
+    all: the workload is fixed-seed and deterministic, so behaviour drift
+    shows next to speed drift instead of hiding behind it
+
+All comparisons only run when the two documents ran the same workload
 config (nodes/objects/queries/seed/replicate) — the sanitizer CI leg runs a
 smaller scenario than the committed full-scale baseline, and comparing
 across scales would always "regress" (throughput obviously; but the
@@ -38,6 +43,11 @@ import sys
 
 CONFIG_KEYS = ("nodes", "objects", "queries", "seed", "replicate",
                "recorder_events")
+
+
+# Simulated-outcome fields: a fixed-seed run must reproduce them exactly.
+BEHAVIOUR_KEYS = ("events", "messages", "bytes", "captures", "queries_ok",
+                  "queries_failed", "sim_time_ms")
 
 
 def load(path):
@@ -200,6 +210,12 @@ def run_gate(baseline, current, args):
               "skipping throughput and overhead comparison")
         return report_failures(failures, baseline, current)
 
+    for key in BEHAVIOUR_KEYS:
+        if baseline.get(key) != current.get(key):
+            failures.append(
+                f"behaviour drift: {key} {baseline.get(key)!r} -> "
+                f"{current.get(key)!r} under the same fixed-seed config")
+
     base_eps = throughput(baseline)
     cur_eps = throughput(current)
     if base_eps is None or cur_eps is None:
@@ -298,6 +314,9 @@ def self_test(args):
                    "seed": 780741, "repeats": 3, "replicate": True,
                    "profile": True},
         "events_per_sec": 250000.0,
+        "events": 8300000, "messages": 7300000, "bytes": 802000000,
+        "captures": 972800, "queries_ok": 100, "queries_failed": 0,
+        "sim_time_ms": 45650.0,
         "invariants": {"enabled": True, "overhead_fraction": 0.05},
         "profile": {"enabled": True, "scopes": [
             {"name": "tracking.index_write_group", "excl_ms": 1500.0},
@@ -317,6 +336,13 @@ def self_test(args):
     if not run_gate(baseline, slow, args):
         print("perf_gate self-test: 20% throughput regression passed the gate",
               file=sys.stderr)
+        return 1
+
+    drifted = copy.deepcopy(clean)
+    drifted["messages"] += 1  # One extra message, speed unchanged: must trip.
+    if not run_gate(baseline, drifted, args):
+        print("perf_gate self-test: a one-message behaviour drift passed "
+              "the gate", file=sys.stderr)
         return 1
 
     heavy = copy.deepcopy(baseline)

@@ -20,9 +20,10 @@
 // history stays comparable PR over PR). With N > 1 the bench additionally
 // runs a scaling pair — one 1-shard leg and one N-shard leg, both with
 // delegation disabled (the sharded kernel's colocation contract) — and
-// cross-checks their final state: messages, bytes, captures and query
-// outcomes must match exactly (exit 5 otherwise; the N-shard leg must also
-// report zero cross-shard direct calls). The BENCH.json "shards" block
+// cross-checks their final state: events, captures, query outcomes and
+// every Metrics::CsvRows() row must match exactly (exit 5 otherwise,
+// naming the first differing row; the N-shard leg must also report zero
+// cross-shard direct calls). The BENCH.json "shards" block
 // records both throughputs, the speedup, scale_efficiency = speedup / N,
 // and host_cores: on a host with fewer cores than shards the efficiency is
 // an honesty record, not a target.
@@ -105,6 +106,33 @@ const char* ModeName(InvariantMode mode) {
     case InvariantMode::kIncremental: return "incremental";
   }
   return "off";
+}
+
+/// Prints the first metric row where `a` and `b` differ (or the first row
+/// only one side has); "diverged" alone is undebuggable. No output when
+/// the rows are equal.
+void PrintFirstDifferingRow(const PerfSmokeReport& a, const char* a_name,
+                            const PerfSmokeReport& b, const char* b_name) {
+  const auto join = [](const std::vector<std::string>& row) {
+    std::string out;
+    for (const auto& cell : row) {
+      if (!out.empty()) out += ',';
+      out += cell;
+    }
+    return out;
+  };
+  const auto& ra = a.metric_rows;
+  const auto& rb = b.metric_rows;
+  for (std::size_t i = 0; i < std::max(ra.size(), rb.size()); ++i) {
+    if (i >= ra.size() || i >= rb.size() || ra[i] != rb[i]) {
+      std::fprintf(stderr,
+                   "perf_smoke: first differing metric row %zu:\n"
+                   "  %s: %s\n  %s: %s\n",
+                   i, a_name, i < ra.size() ? join(ra[i]).c_str() : "(absent)",
+                   b_name, i < rb.size() ? join(rb[i]).c_str() : "(absent)");
+      return;
+    }
+  }
 }
 
 /// A/B + attribution results for the BENCH.json "profile" block.
@@ -361,28 +389,8 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(report.events),
                    static_cast<unsigned long long>(reference.events),
                    leg_profiled ? " (instrumentation perturbed the run?)" : "");
-      // Name the culprit: the first metric row that differs (or the first
-      // extra/missing row) — "determinism broken" alone is undebuggable.
-      const auto& a = reference.metric_rows;
-      const auto& b = report.metric_rows;
-      for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
-        const auto join = [](const std::vector<std::string>& row) {
-          std::string out;
-          for (const auto& cell : row) {
-            if (!out.empty()) out += ',';
-            out += cell;
-          }
-          return out;
-        };
-        if (i >= a.size() || i >= b.size() || a[i] != b[i]) {
-          std::fprintf(stderr,
-                       "perf_smoke: first differing metric row %zu:\n"
-                       "  leg 0: %s\n  leg %d: %s\n",
-                       i, i < a.size() ? join(a[i]).c_str() : "(absent)", leg,
-                       i < b.size() ? join(b[i]).c_str() : "(absent)");
-          break;
-        }
-      }
+      PrintFirstDifferingRow(reference, "leg 0", report,
+                             ("leg " + std::to_string(leg)).c_str());
       return 2;
     }
     std::fprintf(stderr, "(leg %d/%d %s: wall %.1f ms)\n", leg + 1, total_legs,
@@ -454,11 +462,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "(scaling leg %zu-shard: wall %.1f ms)\n", shards,
                  par.WallTotalMs());
     // Differential cross-check: the sharded kernel must reproduce the
-    // single-threaded final state, event count included.
+    // single-threaded final state — event count, query outcomes and the
+    // full metrics dump.
     if (par.events != base.events || par.messages != base.messages ||
         par.bytes != base.bytes || par.captures != base.captures ||
         par.queries_ok != base.queries_ok ||
-        par.queries_failed != base.queries_failed) {
+        par.queries_failed != base.queries_failed ||
+        par.metric_rows != base.metric_rows) {
       std::fprintf(
           stderr,
           "perf_smoke: %zu-shard leg diverged from the 1-shard oracle: "
@@ -473,6 +483,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(par.captures),
           static_cast<unsigned long long>(base.captures), par.queries_ok,
           base.queries_ok);
+      PrintFirstDifferingRow(base, "1-shard", par, "sharded");
       return 5;
     }
     if (par.cross_shard_direct_calls != 0) {

@@ -1,18 +1,23 @@
 #pragma once
 // Typed metric instruments and the registry that names them.
 //
-// Replaces the ad-hoc `std::map<std::string, uint64>` counters that
-// sim::Metrics grew: protocol code asks the registry for a named Counter /
-// Gauge / Histogram once and bumps it directly. Histograms are
-// log-bucketed (geometric bucket bounds, a fixed number of sub-buckets per
-// octave) so one 128-bucket array covers sub-millisecond rpc attempts and
-// minute-long tail queries with bounded relative error, and p50/p95/p99
-// come straight out of the bucket counts — the paper's mean-only latency
-// reporting hides exactly the tail these expose.
+// The registry is the one metrics store of a simulation: sim::Metrics
+// writes its per-message-type tallies here (`msg.count:<type>`,
+// `drop.loss:<type>`, ...) next to the named protocol counters, gauges and
+// latency histograms, and derives its totals from them. Code asks the
+// registry for a named Counter / Gauge / Histogram once and bumps it
+// directly. Histograms are log-bucketed (geometric bucket bounds, a fixed
+// number of sub-buckets per octave) so one 128-bucket array covers
+// sub-millisecond rpc attempts and minute-long tail queries with bounded
+// relative error, and p50/p95/p99 come straight out of the bucket counts —
+// the paper's mean-only latency reporting hides exactly the tail these
+// expose.
 //
 // Instruments handed out by a Registry live as long as the registry and
-// never move (std::map nodes), so hot paths may cache the reference.
-
+// never move (std::map nodes), so hot paths may cache the reference or
+// pointer. Nothing ever removes an instrument: ResetValues() zeroes values
+// in place and is the only reset.
+//
 // Sharded runs (sim::ShardEngine) write instruments from S worker threads.
 // Counters and histograms become lane-striped on Registry::EnableStriping:
 // each thread's obs lane (obs/lane.hpp) owns a private slot and reads fold
@@ -20,7 +25,7 @@
 // all workers are parked at a barrier, so they need no locking; the
 // registry's name->instrument maps do take a mutex once striped, because
 // a worker may intern a new name mid-window. Un-striped instruments are
-// byte-for-byte the old single-threaded code path.
+// plain single-threaded adds.
 
 #include <cstddef>
 #include <cstdint>
@@ -203,8 +208,6 @@ class Registry {
   const std::map<std::string, Histogram, std::less<>>& histograms() const noexcept {
     return histograms_;
   }
-
-  void Reset() { counters_.clear(); gauges_.clear(); histograms_.clear(); }
 
   /// Zero every instrument's value but keep the instruments themselves:
   /// names, histogram bucket layouts, and — critically — addresses survive,

@@ -3,36 +3,31 @@
 //
 // The paper's headline metric is "indexing cost, measured by the total
 // volume of messages transferred over the network" (Section V-A); queries
-// are measured in simulated milliseconds. Metrics centralizes both: the
-// network layer records every remote message (count + bytes, per type and
-// per actor), and protocol layers record hop counts, named counters, and
+// are measured in simulated milliseconds. The network records every remote
+// message here, and protocol layers record hop counts, named counters and
 // latency samples through the same object, so every bench reads cost
 // identically.
 //
-// Hot-path layout: per-type message accounting (counts, bytes, drops, rpc
-// retries/timeouts) is keyed by the dense sim::MsgTypeId and lives in a
-// flat array of slots — recording a message is an index plus a few adds,
-// with no string hashing or map walk per event. The type *name* is
-// interned into the slot on first sight and only touched again when
-// rendering. String-keyed overloads remain for synthetic charge types
-// (e.g. DataTriangle's modeled rpc exchanges) that have no Message class.
-//
-// Named counters and latency distributions live in an obs::Registry of
-// typed instruments (Counter / Gauge / log-bucketed Histogram with
-// p50/p95/p99). Instruments never move once created, so protocol hot loops
-// cache `obs::Counter&` references instead of re-resolving names; Reset()
-// zeroes values in place precisely so those cached references survive the
-// warm-up/measure boundary. Summary() and CsvRows() render the same
-// surface as before on top of both stores.
+// One store: every tally lives in the embedded obs::Registry. Each message
+// type gets the counters `msg.count:<type>`, `msg.bytes:<type>`,
+// `drop.loss:<type>`, `drop.down:<type>`, `rpc.retry:<type>` and
+// `rpc.timeout:<type>`, created on that kind's first event; the hot path
+// caches each obs::Counter* per (MsgTypeId, kind) in a fixed array of
+// atomics. Totals are sums over those families and lookup hops are the
+// `chord.lookup_hops` histogram. Sharded runs stripe the registry; the
+// per-actor received-bytes array is the only lane-private state, summed
+// when read. Instruments never move, so hot loops may cache
+// `obs::Counter&`; Reset() zeroes values in place.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.hpp"
-#include "util/stats.hpp"
 
 namespace peertrack::sim {
 
@@ -54,91 +49,69 @@ class Metrics {
     kDownActor,  ///< Destination was down at delivery time.
   };
 
-  /// Record a remote message and its total wire size. The fast path: type
-  /// accounting is a dense-id array index.
-  void RecordMessage(const Message& message, std::size_t bytes, ActorId from,
-                     ActorId to);
+  Metrics();
 
-  /// Record a remote message by type name — for synthetic charge types
-  /// without a Message class (cost modeling). Map-keyed; keep off per-event
-  /// hot paths.
-  void RecordMessage(std::string_view type, std::size_t bytes, ActorId from,
-                     ActorId to);
+  /// Record a remote message and its total wire size, credited to the
+  /// receiver `to`.
+  void RecordMessage(const Message& message, std::size_t bytes, ActorId to);
+  /// The same for a synthetic charge type without a Message class (cost
+  /// modeling). Resolves the counters by name; keep off per-event paths.
+  void RecordMessage(std::string_view type, std::size_t bytes, ActorId to);
 
   /// Record a dropped message, attributed to its cause.
-  void RecordDrop(const Message& message, DropReason reason);
+  void RecordDrop(const Message& message, DropReason reason) {
+    PerType(message, reason == DropReason::kLoss ? kDropLoss : kDropDown).Add(1);
+  }
+  /// One RPC attempt re-sent after an unanswered deadline.
+  void RecordRpcRetry(const Message& request) { PerType(request, kRpcRetry).Add(1); }
+  /// One RPC that exhausted its attempts and failed to its caller.
+  void RecordRpcTimeout(const Message& request) {
+    PerType(request, kRpcTimeout).Add(1);
+  }
+  /// The hop count of one completed DHT lookup.
+  void RecordLookupHops(std::size_t hops) {
+    lookup_hops_->Add(static_cast<double>(hops));
+  }
+  /// A latency sample (simulated ms) for the histogram `latency:<name>`,
+  /// e.g. RecordLatency("query.trace_ms", 37.0).
+  void RecordLatency(std::string_view name, double ms) {
+    LatencyHistogram(name).Add(ms);
+  }
+  /// Bump a named counter (protocol events that are not messages). Per-event
+  /// hot paths should cache `registry().GetCounter(name)` once instead.
+  void Bump(std::string_view counter, std::uint64_t by = 1) {
+    registry_.GetCounter(counter).Add(by);
+  }
 
-  /// Record one RPC attempt re-sent after an unanswered deadline.
-  void RecordRpcRetry(const Message& request);
-
-  /// Record one RPC that exhausted its attempts and failed to its caller.
-  void RecordRpcTimeout(const Message& request);
-
-  /// Record the hop count of one completed DHT lookup.
-  void RecordLookupHops(std::size_t hops);
-
-  /// Record a latency sample (simulated ms) into the histogram named
-  /// `latency:<name>` — e.g. RecordLatency("query.trace_ms", 37.0).
-  void RecordLatency(std::string_view name, double ms);
-
-  /// Bump a named counter (protocol-level events that are not messages,
-  /// e.g. "window_flush", "triangle_split"). Per-event hot paths should
-  /// instead cache `registry().GetCounter(name)` once — see class comment.
-  void Bump(std::string_view counter, std::uint64_t by = 1);
-
-  /// Prepare for `lanes` concurrent writer threads (the sharded kernel):
-  /// plain tallies and per-type slots become per-lane and fold together on
-  /// read; registry instruments are lane-striped. Reads must happen on the
-  /// coordinator thread while workers are parked (the engine's barrier
-  /// guarantees that). Call before workers start; idempotent.
+  /// Prepare for `lanes` writer threads (the sharded kernel): stripes the
+  /// registry and gives each lane its own received-bytes array. Read only
+  /// while workers are parked. Call before workers start; idempotent.
   void EnableLanes(std::size_t lanes);
 
-  std::uint64_t TotalMessages() const noexcept {
-    FoldLanes();
-    return total_messages_;
-  }
-  std::uint64_t TotalBytes() const noexcept {
-    FoldLanes();
-    return total_bytes_;
-  }
+  std::uint64_t TotalMessages() const noexcept { return SumOf(kCount); }
+  std::uint64_t TotalBytes() const noexcept { return SumOf(kBytes); }
   /// All drops regardless of cause.
   std::uint64_t DroppedMessages() const noexcept {
-    FoldLanes();
-    return dropped_loss_ + dropped_down_;
+    return DroppedByLoss() + DroppedToDownActor();
   }
-  std::uint64_t DroppedByLoss() const noexcept {
-    FoldLanes();
-    return dropped_loss_;
-  }
-  std::uint64_t DroppedToDownActor() const noexcept {
-    FoldLanes();
-    return dropped_down_;
-  }
-  std::uint64_t RpcRetries() const noexcept {
-    FoldLanes();
-    return rpc_retries_;
-  }
-  std::uint64_t RpcTimeouts() const noexcept {
-    FoldLanes();
-    return rpc_timeouts_;
-  }
+  std::uint64_t DroppedByLoss() const noexcept { return SumOf(kDropLoss); }
+  std::uint64_t DroppedToDownActor() const noexcept { return SumOf(kDropDown); }
+  std::uint64_t RpcRetries() const noexcept { return SumOf(kRpcRetry); }
+  std::uint64_t RpcTimeouts() const noexcept { return SumOf(kRpcTimeout); }
 
   /// Count/bytes for one message type (zeroes when never seen).
   TypeCounter ForType(std::string_view type) const;
 
-  /// All message types seen (dense-id slots merged with synthetic string
-  /// types), sorted by name.
+  /// Every message type with at least one message, sorted by name.
   std::map<std::string, TypeCounter, std::less<>> ByType() const;
 
-  /// Named counter value. Understands the per-type accounting names
-  /// ("rpc.retry:<type>", "rpc.timeout:<type>", "drop.loss:<type>",
-  /// "drop.down:<type>") in addition to registry counters, so callers keep
-  /// one query surface even though per-type counts live in dense slots.
-  std::uint64_t Counter(std::string_view name) const;
+  /// Value of the registry counter `name`, 0 when never created.
+  std::uint64_t Counter(std::string_view name) const {
+    return registry_.CounterValue(name);
+  }
 
-  /// The instrument registry backing named counters and latency
-  /// histograms. Protocol layers and benches may register their own
-  /// instruments here; the time-series sampler snapshots all of them.
+  /// The registry holding every tally above; protocol layers and benches
+  /// register their own instruments here too.
   obs::Registry& registry() noexcept { return registry_; }
   const obs::Registry& registry() const noexcept { return registry_; }
 
@@ -146,97 +119,52 @@ class Metrics {
   /// instrument RecordLatency feeds).
   obs::Histogram& LatencyHistogram(std::string_view name);
 
-  const util::RunningStats& LookupHops() const noexcept {
-    FoldLanes();
-    return lookup_hops_;
-  }
+  /// The `chord.lookup_hops` histogram (exact count, sum and max).
+  const obs::Histogram& LookupHops() const noexcept { return *lookup_hops_; }
 
-  /// Messages received per actor (index = ActorId); shorter than the actor
-  /// count if high ids never received traffic.
-  const std::vector<std::uint64_t>& ReceivedPerActor() const noexcept {
-    FoldLanes();
-    return received_per_actor_;
-  }
-  const std::vector<std::uint64_t>& SentPerActor() const noexcept {
-    FoldLanes();
-    return sent_per_actor_;
-  }
-  /// Wire bytes received / sent per actor (same indexing). Byte-level load
-  /// is what the paper's Fig. 8 balance argument is really about: one
-  /// GroupArrival message can carry 1 or 1000 objects.
-  const std::vector<std::uint64_t>& ReceivedBytesPerActor() const noexcept {
-    FoldLanes();
-    return received_bytes_per_actor_;
-  }
-  const std::vector<std::uint64_t>& SentBytesPerActor() const noexcept {
-    FoldLanes();
-    return sent_bytes_per_actor_;
-  }
+  /// Wire bytes received per actor (index = ActorId; shorter than the actor
+  /// count if high ids never received traffic), credited at send time, so
+  /// lost messages and synthetic charges count. Byte-level load is what
+  /// the paper's Fig. 8 balance argument is about.
+  std::vector<std::uint64_t> ReceivedBytesPerActor() const;
 
-  /// Zero everything (used between warm-up and measured phases). In-place:
-  /// instrument identities — and therefore references cached from
-  /// registry() — remain valid; only values reset.
+  /// Zero every value in place (warm-up/measure boundary); references
+  /// cached from registry() stay valid.
   void Reset();
 
-  /// Multi-line human-readable dump.
-  std::string Summary() const;
-
-  /// The same data as rows for util::CsvWriter: a header row followed by
-  /// one ("metric", "value") row per total, per-type counter, named
-  /// counter, gauge, and histogram statistic. Benches append these to
-  /// their sweep CSVs.
+  /// Rows for util::CsvWriter: a ("metric", "value") header, then one row
+  /// per total, per-type count/bytes, non-zero registry counter, gauge and
+  /// histogram statistic. Benches append these to their sweep CSVs.
   std::vector<std::vector<std::string>> CsvRows() const;
 
+  /// CsvRows() as aligned "metric value" lines, for humans.
+  std::string Summary() const;
+
  private:
-  /// Per-message-type accounting, indexed by MsgTypeId. `name` is interned
-  /// on the slot's first use; a default-constructed slot (empty name) is a
-  /// type id this metrics instance never saw.
-  struct TypeSlot {
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t drop_loss = 0;
-    std::uint64_t drop_down = 0;
-    std::uint64_t rpc_retry = 0;
-    std::uint64_t rpc_timeout = 0;
-    std::string name;
+  /// The per-type counter families, in the order of kKindPrefix.
+  enum Kind : std::size_t {
+    kCount, kBytes, kDropLoss, kDropDown, kRpcRetry, kRpcTimeout, kKinds
   };
+  /// MsgTypeIds covered by the counter cache (far above any real type
+  /// count; ids past it resolve by name on every event).
+  static constexpr std::size_t kMaxCachedTypes = 256;
 
-  static void BumpPerActor(std::vector<std::uint64_t>& v, ActorId id,
-                           std::uint64_t by);
+  /// The `kind` counter of `message`'s type, cached per MsgTypeId. Shards
+  /// may race a first event; GetCounter is idempotent, so stores agree.
+  obs::Counter& PerType(const Message& message, Kind kind);
+  /// Sum of every counter of one family.
+  std::uint64_t SumOf(Kind kind) const noexcept;
+  void CreditReceiver(ActorId to, std::size_t bytes);
 
-  /// The Metrics instance the calling thread's plain tallies go to: `this`
-  /// on lane 0 / un-sharded, the lane's private instance otherwise. Lane
-  /// instances never route registry traffic — striped instruments on the
-  /// shared registry handle that.
-  Metrics& Active() noexcept;
-  void FoldLanes() const noexcept {
-    if (lanes_ != nullptr) const_cast<Metrics*>(this)->FoldLanesImpl();
-  }
-  void FoldLanesImpl() noexcept;
-
-  TypeSlot& SlotFor(const Message& message);
-  const TypeSlot* FindSlot(std::string_view name) const noexcept;
-  /// Registry counters merged with the per-type drop/rpc slot counts,
-  /// rendered under the legacy "drop.loss:<type>"-style names.
-  std::map<std::string, std::uint64_t, std::less<>> MergedCounters() const;
-
-  std::uint64_t total_messages_ = 0;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t dropped_loss_ = 0;
-  std::uint64_t dropped_down_ = 0;
-  std::uint64_t rpc_retries_ = 0;
-  std::uint64_t rpc_timeouts_ = 0;
-  std::vector<TypeSlot> slots_;
-  std::map<std::string, TypeCounter, std::less<>> extra_types_;
   obs::Registry registry_;
-  obs::Histogram* lookup_hops_hist_ = nullptr;
-  util::RunningStats lookup_hops_;
-  std::vector<std::uint64_t> received_per_actor_;
-  std::vector<std::uint64_t> sent_per_actor_;
-  std::vector<std::uint64_t> received_bytes_per_actor_;
-  std::vector<std::uint64_t> sent_bytes_per_actor_;
-  /// Lane instances for writer threads 1..L-1 (null when un-sharded).
-  std::unique_ptr<std::vector<std::unique_ptr<Metrics>>> lanes_;
+  obs::Histogram* lookup_hops_;
+  /// type_counters_[id * kKinds + kind]; null until that kind's first event.
+  std::unique_ptr<std::atomic<obs::Counter*>[]> type_counters_;
+  struct alignas(64) Lane {
+    std::vector<std::uint64_t> received_bytes;
+  };
+  /// One per writer thread (obs lane); a single lane when un-sharded.
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace peertrack::sim

@@ -95,7 +95,7 @@ void Network::Send(ActorId from, ActorId to, std::unique_ptr<Message> message) {
     util::Rng& rng = ActorRng(from);
     delay = latency_.Sample(rng);
     const std::size_t bytes = kMessageHeaderBytes + message->ApproxBytes();
-    metrics_.RecordMessage(*message, bytes, from, to);
+    metrics_.RecordMessage(*message, bytes, to);
     if (tracer_.Enabled()) {
       // The tracer is single-threaded; sharded runs keep it disabled.
       tracer_.RecordMessage(simulator().Now(), from, to, message->TypeName(),

@@ -33,9 +33,9 @@ void TrackerNode::ChargeRpc(std::string_view request_type, std::size_t request_b
   if (peer == Self().actor) return;  // Local: no wire cost.
   auto& metrics = chord_.network().metrics();
   metrics.RecordMessage(request_type, sim::kMessageHeaderBytes + request_bytes,
-                        Self().actor, peer);
+                        /*to=*/peer);
   metrics.RecordMessage(response_type, sim::kMessageHeaderBytes + response_bytes,
-                        peer, Self().actor);
+                        /*to=*/Self().actor);
 }
 
 TrackerNode::FetchResult TrackerNode::FetchEntries(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "obs/lane.hpp"
 
 namespace peertrack::sim {
 namespace {
@@ -117,11 +120,73 @@ TEST_F(NetworkTest, PerActorCountsTrackSendersAndReceivers) {
   const ActorId ida = net_.Register(a);
   const ActorId idb = net_.Register(b);
   for (int i = 0; i < 3; ++i) net_.Send(ida, idb, std::make_unique<TestMessage>(i));
+  net_.Send(idb, ida, std::make_unique<TestMessage>(9));
   sim_.Run();
-  ASSERT_GT(net_.metrics().SentPerActor().size(), ida);
-  ASSERT_GT(net_.metrics().ReceivedPerActor().size(), idb);
-  EXPECT_EQ(net_.metrics().SentPerActor()[ida], 3u);
-  EXPECT_EQ(net_.metrics().ReceivedPerActor()[idb], 3u);
+  const std::vector<std::uint64_t> received = net_.metrics().ReceivedBytesPerActor();
+  ASSERT_GT(received.size(), std::max(ida, idb));
+  EXPECT_EQ(received[idb], 3 * (kMessageHeaderBytes + 4));
+  EXPECT_EQ(received[ida], kMessageHeaderBytes + 4);
+}
+
+struct OtherMessage final : MessageBase<OtherMessage> {
+  std::string_view TypeName() const noexcept override { return "test.other"; }
+  std::size_t ApproxBytes() const noexcept override { return 12; }
+};
+
+/// The same writes, each from `lane_of(i)`: messages, both drop causes,
+/// rpc retries/timeouts, a synthetic charge and lookup hops.
+void WriteMetrics(Metrics& metrics, std::uint32_t (*lane_of)(int)) {
+  const TestMessage test(0);
+  const OtherMessage other;
+  for (int i = 0; i < 16; ++i) {
+    obs::LaneScope lane(lane_of(i));
+    const auto to = static_cast<ActorId>(i % 5);
+    metrics.RecordMessage(test, 44, to);
+    if (i % 2 == 0) metrics.RecordMessage(other, 52, to + 3);
+    if (i % 3 == 0) metrics.RecordDrop(test, Metrics::DropReason::kLoss);
+    if (i % 4 == 0) metrics.RecordDrop(other, Metrics::DropReason::kDownActor);
+    if (i % 5 == 0) metrics.RecordRpcRetry(other);
+    if (i % 7 == 0) metrics.RecordRpcTimeout(other);
+    if (i % 6 == 0) metrics.RecordMessage("test.synthetic", 60, to + 1);
+    metrics.RecordLookupHops(static_cast<std::size_t>(i % 4));
+  }
+}
+
+TEST(MetricsLanes, StripedWritesReadLikeLaneZero) {
+  Metrics striped;
+  striped.EnableLanes(4);
+  WriteMetrics(striped, [](int i) { return static_cast<std::uint32_t>(i % 4); });
+  Metrics single;
+  WriteMetrics(single, [](int) { return 0u; });
+
+  const auto by_type = single.ByType();
+  ASSERT_EQ(by_type.size(), 3u);
+  EXPECT_EQ(by_type.at("test.synthetic").count, 3u);
+  const auto striped_by_type = striped.ByType();
+  ASSERT_EQ(striped_by_type.size(), by_type.size());
+  for (const auto& [type, counter] : by_type) {
+    ASSERT_EQ(striped_by_type.count(type), 1u) << type;
+    EXPECT_EQ(striped_by_type.at(type).count, counter.count) << type;
+    EXPECT_EQ(striped_by_type.at(type).bytes, counter.bytes) << type;
+  }
+  EXPECT_EQ(single.Counter("rpc.retry:test.other"), 4u);
+  EXPECT_EQ(striped.Counter("rpc.retry:test.other"), 4u);
+  EXPECT_EQ(striped.Counter("rpc.timeout:test.other"),
+            single.Counter("rpc.timeout:test.other"));
+  EXPECT_EQ(single.DroppedByLoss(), 6u);
+  EXPECT_EQ(striped.DroppedByLoss(), single.DroppedByLoss());
+  EXPECT_EQ(striped.DroppedToDownActor(), single.DroppedToDownActor());
+  EXPECT_EQ(striped.TotalMessages(), single.TotalMessages());
+  EXPECT_EQ(striped.TotalBytes(), single.TotalBytes());
+  EXPECT_EQ(striped.RpcRetries(), single.RpcRetries());
+  EXPECT_EQ(striped.RpcTimeouts(), single.RpcTimeouts());
+  EXPECT_EQ(single.LookupHops().Count(), 16u);
+  EXPECT_EQ(striped.LookupHops().Count(), single.LookupHops().Count());
+  EXPECT_DOUBLE_EQ(striped.LookupHops().Sum(), single.LookupHops().Sum());
+  EXPECT_DOUBLE_EQ(striped.LookupHops().Max(), single.LookupHops().Max());
+  EXPECT_FALSE(single.ReceivedBytesPerActor().empty());
+  EXPECT_EQ(striped.ReceivedBytesPerActor(), single.ReceivedBytesPerActor());
+  EXPECT_EQ(striped.CsvRows(), single.CsvRows());
 }
 
 TEST_F(NetworkTest, MetricsResetClears) {

@@ -3,9 +3,10 @@
 // The sharded simulation kernel (sim::ShardEngine) promises OUTCOME
 // equivalence, not schedule equivalence: for any shard count S on the same
 // seed, the world a run leaves behind — gateway index contents, IOP visit
-// chains, query answers, the invariant monitor's violation ledger, and the
-// wire-volume and event totals — must be identical to the S=1 run, which
-// executes on the engine's thread-free pass-through. Every scenario here
+// chains, query answers, the invariant monitor's violation ledger, the
+// whole metrics store (per-type traffic, every registry counter, per-actor
+// received bytes) and the event count — must be identical to the S=1 run,
+// which executes on the engine's thread-free pass-through. Every scenario here
 // runs once per shard count in {1, 2, 4, 8} and diffs a full final-state
 // digest against the S=1 oracle.
 //
@@ -105,6 +106,22 @@ void DigestIop(tracking::TrackingSystem& system,
             visit.to_arrived.value_or(-1.0)));
       }
     }
+  }
+}
+
+/// The whole metrics store: per-type traffic, every registry counter
+/// (per-type drop/rpc families included) and per-actor received bytes.
+void DigestMetrics(const Metrics& metrics, Digest& out) {
+  for (const auto& [type, counter] : metrics.ByType()) {
+    out.Add(util::Format("type {} count={} bytes={}", type, counter.count,
+                         counter.bytes));
+  }
+  for (const auto& [name, counter] : metrics.registry().counters()) {
+    out.Add(util::Format("counter {}={}", name, counter.Value()));
+  }
+  const std::vector<std::uint64_t> received = metrics.ReceivedBytesPerActor();
+  for (std::size_t actor = 0; actor < received.size(); ++actor) {
+    out.Add(util::Format("received actor={} bytes={}", actor, received[actor]));
   }
 }
 
@@ -286,6 +303,7 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
       system.metrics().TotalMessages(), system.metrics().TotalBytes(),
       system.metrics().DroppedByLoss(), system.metrics().RpcRetries(),
       system.metrics().RpcTimeouts(), system.ProcessedEvents()));
+  DigestMetrics(system.metrics(), digest);
   digest.Sort();
   return digest.lines;
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "tracking/tracking_system.hpp"
+#include "util/stats.hpp"
 #include "workload/scenario.hpp"
 
 namespace peertrack::tracking {
