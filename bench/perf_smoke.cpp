@@ -66,8 +66,7 @@
 // the timed phases (a verification step, not steady-state overhead —
 // violations and cross-check misses are read after it and still cover
 // it). Any violation or cross-check miss on this clean fixed-seed
-// scenario fails the run (exit 4). The legacy --invariants boolean maps
-// to --invariant-mode=full.
+// scenario fails the run (exit 4).
 //
 // With --repeat=N the scenario runs N times and the fastest run is
 // reported (standard practice to shave scheduler noise); the simulation
@@ -317,9 +316,6 @@ int main(int argc, char** argv) {
   params.objects = static_cast<std::size_t>(config.GetUInt("objects", params.objects));
   params.queries = static_cast<std::size_t>(config.GetUInt("queries", params.queries));
   params.seed = config.GetUInt("seed", params.seed);
-  if (config.GetBool("invariants", false)) {
-    params.invariants = InvariantMode::kFull;  // Legacy spelling.
-  }
   const std::string mode = config.GetString("invariant-mode", "");
   if (mode == "off") {
     params.invariants = InvariantMode::kOff;
@@ -462,18 +458,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "(scaling leg %zu-shard: wall %.1f ms)\n", shards,
                  par.WallTotalMs());
     // Differential cross-check: the sharded kernel must reproduce the
-    // single-threaded final state — event count, query outcomes and the
-    // full metrics dump.
+    // single-threaded final state — event count, query outcomes, the full
+    // metrics dump, and every delta and record the obs lanes carried.
     if (par.events != base.events || par.messages != base.messages ||
         par.bytes != base.bytes || par.captures != base.captures ||
         par.queries_ok != base.queries_ok ||
         par.queries_failed != base.queries_failed ||
-        par.metric_rows != base.metric_rows) {
+        par.metric_rows != base.metric_rows ||
+        par.invariant_deltas != base.invariant_deltas ||
+        par.invariant_violations != base.invariant_violations ||
+        par.recorder_events != base.recorder_events) {
       std::fprintf(
           stderr,
           "perf_smoke: %zu-shard leg diverged from the 1-shard oracle: "
           "events %llu vs %llu, messages %llu vs %llu, bytes %llu vs %llu, "
-          "captures %llu vs %llu, queries_ok %zu vs %zu\n",
+          "captures %llu vs %llu, queries_ok %zu vs %zu, invariant_deltas "
+          "%llu vs %llu, invariant_violations %zu vs %zu, recorder_events "
+          "%llu vs %llu\n",
           shards, static_cast<unsigned long long>(par.events),
           static_cast<unsigned long long>(base.events),
           static_cast<unsigned long long>(par.messages),
@@ -482,7 +483,12 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(base.bytes),
           static_cast<unsigned long long>(par.captures),
           static_cast<unsigned long long>(base.captures), par.queries_ok,
-          base.queries_ok);
+          base.queries_ok,
+          static_cast<unsigned long long>(par.invariant_deltas),
+          static_cast<unsigned long long>(base.invariant_deltas),
+          par.invariant_violations, base.invariant_violations,
+          static_cast<unsigned long long>(par.recorder_events),
+          static_cast<unsigned long long>(base.recorder_events));
       PrintFirstDifferingRow(base, "1-shard", par, "sharded");
       return 5;
     }

@@ -244,11 +244,13 @@ void ChordNode::DoFixFingers() {
   Lookup(fingers_.Start(index), [this, index](const NodeRef& owner, std::size_t) {
     if (!owner.Valid() || IsConfirmedDead(owner)) return;
     fingers_.Set(index, owner);
-    PublishDelta(obs::StateDelta::Finger(self_.actor, index));
+    PublishDelta(
+        obs::StateDelta::Ring(obs::DeltaKind::kRingFinger, self_.actor));
     for (unsigned j = index + 1; j < FingerTable::kBits; ++j) {
       if (fingers_.Start(j).InHalfOpenLoHi(self_.id, owner.id)) {
         fingers_.Set(j, owner);
-        PublishDelta(obs::StateDelta::Finger(self_.actor, j));
+        PublishDelta(
+            obs::StateDelta::Ring(obs::DeltaKind::kRingFinger, self_.actor));
         next_finger_ = (j + 1) % FingerTable::kBits;
       } else {
         break;

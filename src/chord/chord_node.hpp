@@ -155,7 +155,8 @@ class ChordNode final : public sim::Actor {
   void OracleWire(std::optional<NodeRef> predecessor, std::vector<NodeRef> successor_list);
   void OracleSetFinger(unsigned index, const NodeRef& node) {
     fingers_.Set(index, node);
-    PublishDelta(obs::StateDelta::Finger(self_.actor, index));
+    PublishDelta(
+        obs::StateDelta::Ring(obs::DeltaKind::kRingFinger, self_.actor));
   }
   void MarkAlive() {
     alive_ = true;

@@ -18,14 +18,15 @@
 // exactly like the protocol paths do, because the stores themselves
 // publish.
 //
-// A consumer claims the bus with BeginStaging(). Publish then only appends
-// a compact POD to a per-kind staging vector (no indirect call, no
-// hashing), and the consumer walks the Staged*() views in one batch per
-// scan. The dirty/deferred mark operations the monitor performs are
-// commutative within a batch (MarkAll dominates, Defer min-merges, Mark is
-// idempotent), so per-kind buffers are safe — except the index
-// upsert/erase stream, whose relative order the consumer's site mirror
-// depends on; those share one ordered buffer.
+// A consumer claims the bus with BeginStaging(). Publish then appends the
+// delta itself to the calling thread's lane buffer (obs/lane.hpp: lane 0
+// un-sharded and on the coordinator, the shard id inside a parallel
+// window) — no indirect call, no hashing, no shared vector between shard
+// threads. The consumer walks every lane in one batch per scan, while the
+// workers are parked. Lanes are not merged in time order, and need not
+// be: the monitor's mark operations commute (MarkAll dominates, Defer
+// min-merges, Mark is idempotent), and its one order-sensitive structure,
+// the index site mirror, is a superset hint pruned against live state.
 //
 // With no consumer the bus is inert: publishers guard with Active(), so a
 // run without an incremental monitor pays one predictable branch per
@@ -33,7 +34,6 @@
 // only on the hash layer.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hash/keyspace.hpp"
@@ -45,7 +45,7 @@ namespace peertrack::obs {
 
 enum class DeltaKind : std::uint8_t {
   kRingNeighbors,    ///< successor / predecessor / successor-list of `actor`.
-  kRingFinger,       ///< finger slot `slot` of `actor`.
+  kRingFinger,       ///< a finger slot of `actor`.
   kMembership,       ///< `actor` joined / left / crashed: global ring truth moved.
   kIopVisit,         ///< a visit record of `object` on `actor` was written.
   kIopDropped,       ///< `actor` dropped its visit list for `object` (handoff).
@@ -59,15 +59,11 @@ enum class DeltaKind : std::uint8_t {
   kHandoffFinished,  ///< `actor` completed its graceful-leave handoff.
 };
 
-/// One mutation event. Fields beyond `kind` are meaningful per kind (see
-/// DeltaKind); unused ones stay default-initialised.
+/// One mutation event, staged exactly as published. Fields beyond `kind`
+/// are meaningful per kind (see DeltaKind); unused ones stay
+/// default-initialised. Packed (the prefix as bits + length) because a
+/// scan interval can stage millions of these.
 struct StateDelta {
-  DeltaKind kind = DeltaKind::kMembership;
-  bool individual = false;         ///< Index deltas: flat map vs prefix bucket.
-  std::uint32_t actor = 0xFFFFFFFFu;  ///< sim::ActorId of the touched node.
-  std::uint32_t slot = 0;          ///< kRingFinger: finger index.
-  hash::UInt160 object{};          ///< Object key, where applicable.
-  hash::Prefix prefix{};           ///< Bucket prefix, where applicable.
   /// kIopVisit: arrival time identifying the touched visit record, so the
   /// monitor can dirty one (actor, object, arrived) visit instead of the
   /// object's whole chain. kObjectTruth / kIndexUpsert / kReplicaUpsert:
@@ -81,18 +77,19 @@ struct StateDelta {
   /// departure write on an old visit is gated on the NEXT hop's arrival).
   /// Negative = same as `when`.
   double gate = -1.0;
+  std::uint64_t prefix_bits = 0;   ///< Bucket prefix, where applicable.
+  hash::UInt160 object{};          ///< Object key, where applicable.
+  std::uint32_t actor = 0xFFFFFFFFu;  ///< sim::ActorId of the touched node.
+  DeltaKind kind = DeltaKind::kMembership;
+  bool individual = false;         ///< Index deltas: flat map vs prefix bucket.
+  std::uint8_t prefix_length = 0;
+
+  hash::Prefix prefix() const noexcept { return {prefix_bits, prefix_length}; }
 
   static StateDelta Ring(DeltaKind kind, std::uint32_t actor) {
     StateDelta d;
     d.kind = kind;
     d.actor = actor;
-    return d;
-  }
-  static StateDelta Finger(std::uint32_t actor, std::uint32_t slot) {
-    StateDelta d;
-    d.kind = DeltaKind::kRingFinger;
-    d.actor = actor;
-    d.slot = slot;
     return d;
   }
   static StateDelta Object(DeltaKind kind, std::uint32_t actor,
@@ -107,12 +104,9 @@ struct StateDelta {
   static StateDelta Index(DeltaKind kind, std::uint32_t actor,
                           const hash::UInt160& object, bool individual,
                           const hash::Prefix& prefix, double when = -1.0) {
-    StateDelta d;
+    StateDelta d = Shape(actor, prefix, individual);
     d.kind = kind;
-    d.actor = actor;
     d.object = object;
-    d.individual = individual;
-    d.prefix = prefix;
     d.when = when;
     return d;
   }
@@ -121,7 +115,8 @@ struct StateDelta {
     StateDelta d;
     d.kind = DeltaKind::kPrefixShape;
     d.actor = actor;
-    d.prefix = prefix;
+    d.prefix_bits = prefix.bits;
+    d.prefix_length = static_cast<std::uint8_t>(prefix.length);
     d.individual = individual;
     return d;
   }
@@ -131,6 +126,8 @@ struct StateDelta {
     return d;
   }
 };
+static_assert(sizeof(StateDelta) <= 56,
+              "StateDelta is staged by the million; keep it packed");
 
 // The flight recorder mirrors DeltaKind into RecEvent by fixed offset (one
 // add, no lookup table on the hot path). Pin the mapping at both ends.
@@ -160,16 +157,6 @@ class StateDeltaBus {
   bool Active() const noexcept { return active_ > 0; }
 
   void Publish(const StateDelta& delta) {
-    if (lanes_ != nullptr) {
-      const std::uint32_t lane = CurrentLane();
-      if (lane != 0) {
-        // Worker-thread publish: append into the lane's private child bus
-        // (its own leaf profiler scope bills the worker's tree), merged
-        // into the lane-0 buffers at the next window barrier.
-        (*lanes_)[lane - 1]->Publish(delta);
-        return;
-      }
-    }
     // Covers the recorder mirror and the staging append, so per-mutation
     // bookkeeping cost is attributable separate from the scans that drain
     // it.
@@ -177,7 +164,6 @@ class StateDeltaBus {
     // scope. Leaf variant: this fires once per mutation (millions per run)
     // and neither branch opens scopes of its own.
     PROF_LEAF_SCOPE("bus", "publish");
-    ++published_;
     if (recorder_ != nullptr) {
       const auto kind = static_cast<std::uint8_t>(delta.kind);
       recorder_->RecordState(
@@ -186,7 +172,7 @@ class StateDeltaBus {
               delta.kind <= DeltaKind::kObjectTruth,
           delta.when);
     }
-    if (staging_) Stage(delta);
+    if (staging_) lanes_[CurrentLane()].staged.push_back(delta);
   }
 
   /// Route every published delta into `recorder` as a RecEvent mirror.
@@ -197,19 +183,11 @@ class StateDeltaBus {
     if (recorder_ != nullptr || recorder == nullptr) return;
     recorder_ = recorder;
     ++active_;
-    if (lanes_ != nullptr) {
-      // Children share the recorder instance — it routes appends to
-      // per-lane staging buffers internally.
-      for (auto& lane : *lanes_) lane->AttachRecorder(recorder);
-    }
   }
   void DetachRecorder() {
     if (recorder_ == nullptr) return;
     recorder_ = nullptr;
     --active_;
-    if (lanes_ != nullptr) {
-      for (auto& lane : *lanes_) lane->DetachRecorder();
-    }
   }
   FlightRecorder* recorder() const noexcept { return recorder_; }
 
@@ -219,9 +197,6 @@ class StateDeltaBus {
     if (staging_) return false;
     staging_ = true;
     ++active_;
-    if (lanes_ != nullptr) {
-      for (auto& lane : *lanes_) lane->BeginStaging();
-    }
     return true;
   }
 
@@ -231,221 +206,45 @@ class StateDeltaBus {
     staging_ = false;
     --active_;
     ClearStaged();
-    if (lanes_ != nullptr) {
-      for (auto& lane : *lanes_) lane->EndStaging();
-    }
   }
 
-  /// Sharded runs: give each of `lanes` writer threads (obs/lane.hpp) a
-  /// private child bus for its staged deltas. Publish routes by the
-  /// calling thread's lane; MergeStagedLanes() — run from the engine's
-  /// window barrier, workers parked — appends every child backlog into the
-  /// lane-0 buffers so consumers keep one drain surface. Coordinator-phase
+  /// Sharded runs: one staging buffer per writer lane (obs/lane.hpp), so
+  /// shard threads append without sharing a vector. Coordinator-phase
   /// only; idempotent.
   void EnableLanes(std::size_t lanes) {
-    if (lanes_ != nullptr || lanes <= 1) return;
-    lanes_ = std::make_unique<std::vector<std::unique_ptr<StateDeltaBus>>>();
-    lanes_->reserve(lanes - 1);
-    for (std::size_t i = 1; i < lanes; ++i) {
-      auto child = std::make_unique<StateDeltaBus>();
-      if (staging_) child->BeginStaging();
-      if (recorder_ != nullptr) child->AttachRecorder(recorder_);
-      lanes_->push_back(std::move(child));
-    }
-  }
-
-  /// Append every lane's staged backlog (and its publish tally) into the
-  /// lane-0 buffers, in lane order. Within a lane records keep publish
-  /// order; same-(object, location) index mutations happen on one actor —
-  /// one lane — so the order the site mirror depends on survives the
-  /// merge. Call only while workers are parked.
-  void MergeStagedLanes() {
-    if (lanes_ == nullptr) return;
-    for (auto& lane : *lanes_) {
-      published_ += lane->published_;
-      lane->published_ = 0;
-      if (lane->staged_ == 0) continue;
-      staged_ += lane->staged_;
-      AppendFrom(staged_neighbors_, lane->staged_neighbors_);
-      AppendFrom(staged_fingers_, lane->staged_fingers_);
-      AppendFrom(staged_membership_, lane->staged_membership_);
-      AppendFrom(staged_handoffs_, lane->staged_handoffs_);
-      staged_lp_changes_ += lane->staged_lp_changes_;
-      AppendFrom(staged_visits_, lane->staged_visits_);
-      AppendFrom(staged_dropped_, lane->staged_dropped_);
-      AppendFrom(staged_index_, lane->staged_index_);
-      AppendFrom(staged_replicas_, lane->staged_replicas_);
-      AppendFrom(staged_truths_, lane->staged_truths_);
-      AppendFrom(staged_shapes_, lane->staged_shapes_);
-      lane->staged_ = 0;
-      lane->staged_lp_changes_ = 0;
-    }
+    if (lanes > lanes_.size()) lanes_.resize(lanes);
   }
 
   bool Staging() const noexcept { return staging_; }
-  std::uint64_t StagedCount() const noexcept { return staged_; }
+  std::uint64_t StagedCount() const noexcept {
+    std::uint64_t total = 0;
+    for (const Lane& lane : lanes_) total += lane.staged.size();
+    return total;
+  }
 
-  // Staged records keep only the fields their kind consumes.
-  struct StagedVisit {
-    hash::UInt160 object;
-    std::uint32_t actor;
-    double when;
-    double gate;
-  };
-  struct StagedObject {
-    hash::UInt160 object;
-    std::uint32_t actor;
-    double when;
-    bool erase;
-  };
-  struct StagedIndex {
-    hash::UInt160 object;
-    hash::Prefix prefix;
-    std::uint32_t actor;
-    double when;
-    bool individual;
-    bool erase;
-  };
-  struct StagedFinger {
-    std::uint32_t actor;
-    std::uint32_t slot;
-  };
-  struct StagedShape {
-    hash::Prefix prefix;
-    std::uint32_t actor;
-    bool individual;
-  };
-
-  /// Staged-buffer views, walked directly by the consumer. Within each
-  /// buffer records are in publish order; the index stream interleaves
-  /// upserts and erases in arrival order, which mirror maintenance depends
-  /// on. The consumer calls ClearStaged() once it has walked the buffers.
-  const std::vector<std::uint32_t>& StagedMembership() const noexcept {
-    return staged_membership_;
-  }
-  const std::vector<std::uint32_t>& StagedHandoffs() const noexcept {
-    return staged_handoffs_;
-  }
-  std::uint64_t StagedLpChanges() const noexcept { return staged_lp_changes_; }
-  const std::vector<StagedVisit>& StagedVisits() const noexcept {
-    return staged_visits_;
-  }
-  const std::vector<StagedObject>& StagedDropped() const noexcept {
-    return staged_dropped_;
-  }
-  const std::vector<StagedIndex>& StagedIndexStream() const noexcept {
-    return staged_index_;
-  }
-  const std::vector<StagedObject>& StagedReplicas() const noexcept {
-    return staged_replicas_;
-  }
-  const std::vector<StagedObject>& StagedTruths() const noexcept {
-    return staged_truths_;
-  }
-  const std::vector<std::uint32_t>& StagedNeighbors() const noexcept {
-    return staged_neighbors_;
-  }
-  const std::vector<StagedFinger>& StagedFingers() const noexcept {
-    return staged_fingers_;
-  }
-  const std::vector<StagedShape>& StagedShapes() const noexcept {
-    return staged_shapes_;
+  /// Lane count (1 until EnableLanes) and each lane's staged backlog in
+  /// publish order. The consumer walks the lanes in lane order between
+  /// scans (workers parked), then calls ClearStaged().
+  std::size_t Lanes() const noexcept { return lanes_.size(); }
+  const std::vector<StateDelta>& Staged(std::size_t lane) const noexcept {
+    return lanes_[lane].staged;
   }
 
   /// Reset the staged backlog (capacity retained).
   void ClearStaged() {
-    staged_ = 0;
-    staged_neighbors_.clear();
-    staged_fingers_.clear();
-    staged_membership_.clear();
-    staged_handoffs_.clear();
-    staged_lp_changes_ = 0;
-    staged_visits_.clear();
-    staged_dropped_.clear();
-    staged_index_.clear();
-    staged_replicas_.clear();
-    staged_truths_.clear();
-    staged_shapes_.clear();
+    for (Lane& lane : lanes_) lane.staged.clear();
   }
-
-  /// Total deltas published (including while nobody listened via direct
-  /// Publish calls; guarded publishers contribute only while Active()).
-  std::uint64_t Published() const noexcept { return published_; }
 
  private:
-  template <typename T>
-  static void AppendFrom(std::vector<T>& dst, std::vector<T>& src) {
-    dst.insert(dst.end(), src.begin(), src.end());
-    src.clear();
-  }
-
-  void Stage(const StateDelta& d) {
-    ++staged_;
-    switch (d.kind) {
-      case DeltaKind::kRingNeighbors:
-        staged_neighbors_.push_back(d.actor);
-        break;
-      case DeltaKind::kRingFinger:
-        staged_fingers_.push_back(StagedFinger{d.actor, d.slot});
-        break;
-      case DeltaKind::kMembership:
-        staged_membership_.push_back(d.actor);
-        break;
-      case DeltaKind::kIopVisit:
-        staged_visits_.push_back(
-            StagedVisit{d.object, d.actor, d.when, d.gate});
-        break;
-      case DeltaKind::kIopDropped:
-        staged_dropped_.push_back(
-            StagedObject{d.object, d.actor, d.when, false});
-        break;
-      case DeltaKind::kIndexUpsert:
-      case DeltaKind::kIndexErase:
-        // One ordered stream: the consumer's site mirror applies upserts
-        // and erases of the same (object, location) in arrival order.
-        staged_index_.push_back(StagedIndex{d.object, d.prefix, d.actor,
-                                            d.when, d.individual,
-                                            d.kind == DeltaKind::kIndexErase});
-        break;
-      case DeltaKind::kReplicaUpsert:
-      case DeltaKind::kReplicaErase:
-        staged_replicas_.push_back(StagedObject{
-            d.object, d.actor, d.when, d.kind == DeltaKind::kReplicaErase});
-        break;
-      case DeltaKind::kObjectTruth:
-        staged_truths_.push_back(StagedObject{d.object, d.actor, d.when, false});
-        break;
-      case DeltaKind::kPrefixShape:
-        staged_shapes_.push_back(StagedShape{d.prefix, d.actor, d.individual});
-        break;
-      case DeltaKind::kLpChange:
-        ++staged_lp_changes_;
-        break;
-      case DeltaKind::kHandoffFinished:
-        staged_handoffs_.push_back(d.actor);
-        break;
-    }
-  }
+  /// Cache-line aligned: shard threads grow neighbouring lanes at once.
+  struct alignas(64) Lane {
+    std::vector<StateDelta> staged;
+  };
 
   std::size_t active_ = 0;
-  std::uint64_t published_ = 0;
   FlightRecorder* recorder_ = nullptr;
-
   bool staging_ = false;
-  std::uint64_t staged_ = 0;
-  std::vector<std::uint32_t> staged_neighbors_;
-  std::vector<StagedFinger> staged_fingers_;
-  std::vector<std::uint32_t> staged_membership_;
-  std::vector<std::uint32_t> staged_handoffs_;
-  std::uint64_t staged_lp_changes_ = 0;
-  std::vector<StagedVisit> staged_visits_;
-  std::vector<StagedObject> staged_dropped_;
-  std::vector<StagedIndex> staged_index_;
-  std::vector<StagedObject> staged_replicas_;
-  std::vector<StagedObject> staged_truths_;
-  std::vector<StagedShape> staged_shapes_;
-  /// Child buses for writer lanes 1..L-1 (null when un-sharded).
-  std::unique_ptr<std::vector<std::unique_ptr<StateDeltaBus>>> lanes_;
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
 };
 
 }  // namespace peertrack::obs

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 
@@ -86,7 +87,8 @@ inline void DrainFence() noexcept {
 
 }  // namespace
 
-void FlightRecorder::DrainBuffer(std::vector<RecordedEvent>& staged) {
+void FlightRecorder::Drain(LaneBuf& lane) {
+  std::vector<RecordedEvent>& staged = lane.staged;
   if (staged.empty()) return;
   // The rings span ~actors * capacity records of memory, so each slot write
   // would be a dependent cache miss if appends went straight to them.
@@ -95,6 +97,8 @@ void FlightRecorder::DrainBuffer(std::vector<RecordedEvent>& staged) {
   // streaming copy overlaps the stores — the whole point of staging
   // (DESIGN.md §12).
   PROF_SCOPE("obs.recorder", "drain");
+  // Shard threads drain concurrently: one lock per kStageCapacity appends.
+  std::lock_guard<std::mutex> lock(rings_mutex_);
   const std::size_t n = staged.size();
   for (std::size_t i = 0; i < n; ++i) {
 #if !defined(__SSE2__)
@@ -116,58 +120,24 @@ void FlightRecorder::DrainBuffer(std::vector<RecordedEvent>& staged) {
   DrainFence();
 }
 
-void FlightRecorder::Drain() {
-  if (lanes_ == nullptr) {
-    DrainBuffer(staged_);
-    return;
-  }
-  // Lanes exist: the rings are shared with worker drains, so every batch
-  // serializes on the mutex (one lock per kStageCapacity appends).
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  DrainBuffer(staged_);
-}
-
-void FlightRecorder::DrainLane(LaneBuf& lane) {
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  DrainBuffer(lane.staged);
-}
-
 void FlightRecorder::FlushAll() {
-  Drain();
-  if (lanes_ == nullptr) return;
-  for (LaneBuf& lane : *lanes_) DrainLane(lane);
+  for (LaneBuf& lane : lanes_) Drain(lane);
 }
 
 void FlightRecorder::EnableLanes(std::size_t lanes) {
-  if (lanes_ != nullptr || lanes <= 1 || capacity_ == 0) return;
-  // The seq tag has kLaneSeqBits bits; the engine caps shards well below
-  // this in practice.
-  if (lanes > (1u << kLaneSeqBits)) lanes = 1u << kLaneSeqBits;
-  lanes_ = std::make_unique<std::vector<LaneBuf>>(lanes - 1);
-  for (LaneBuf& lane : *lanes_) lane.staged.reserve(kStageCapacity);
-  type_flags_ = std::make_unique<std::atomic<std::uint32_t>[]>(kMaxTypeIds);
-  for (std::uint32_t i = 0; i < kMaxTypeIds; ++i) {
-    type_flags_[i].store(0, std::memory_order_relaxed);
+  if (lanes <= lanes_.size()) return;
+  lanes_.resize(lanes);
+  if (Enabled()) {
+    for (LaneBuf& lane : lanes_) lane.staged.reserve(kStageCapacity);
   }
-  // Names interned before sharding was enabled are already readable.
-  for (std::uint32_t i = 0;
-       i < type_names_.size() && i < kMaxTypeIds; ++i) {
-    if (!type_names_[i].empty()) {
-      type_flags_[i].store(1, std::memory_order_release);
-    }
-  }
+  lane_bits_ = static_cast<unsigned>(std::bit_width(lanes - 1));
 }
 
 void FlightRecorder::RegisterTypeNameSlow(std::uint32_t type,
                                           std::string_view name) {
+  std::lock_guard<std::mutex> lock(names_mutex_);
   if (type >= type_names_.size()) type_names_.resize(type + 1);
   if (type_names_[type].empty()) type_names_[type] = std::string(name);
-}
-
-void FlightRecorder::RegisterTypeNameLocked(std::uint32_t type,
-                                            std::string_view name) {
-  std::lock_guard<std::mutex> lock(names_mutex_);
-  RegisterTypeNameSlow(type, name);
   if (type < kMaxTypeIds) {
     type_flags_[type].store(1, std::memory_order_release);
   }

@@ -10,12 +10,14 @@
 // handoff phases, rpc retries/timeouts) is appended as one POD record into
 // a bounded per-actor ring. The hot path pays the same discipline as
 // StateDeltaBus staging: one predictable branch at the call site plus one
-// sequential POD append into a bounded staging buffer. Distribution into
-// the per-actor rings happens in bulk when the buffer fills (or when a
-// window/bundle is requested) — per-actor ring slots are scattered across
-// ~N*capacity records of memory, so appending straight into them makes
-// nearly every record a dependent cache miss, while the batched drain
-// overlaps those misses with software prefetch. Cheap enough to leave
+// sequential POD append into the calling writer lane's (obs/lane.hpp)
+// bounded staging buffer — one per lane, lane 0 included, so shard threads
+// never share one. Distribution into the per-actor rings happens in bulk
+// when the buffer fills (or when a window/bundle is requested) — per-actor
+// ring slots are scattered across ~N*capacity records of memory, so
+// appending straight into them makes nearly every record a dependent cache
+// miss, while the batched drain overlaps those misses with software
+// prefetch. Cheap enough to leave
 // recording always on: ~13 ns/record measured end to end (append plus
 // amortized drain), ~1.5% of the canonical perf_smoke run. The wall-clock
 // A/B harness verifies the ~2% throughput contract; the perf gate's
@@ -36,6 +38,7 @@
 // header sits below sim/ — it depends only on the hash layer and the
 // profiler.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -135,53 +138,45 @@ class FlightRecorder {
   static constexpr std::uint32_t kWorldActor = 0xFFFFFFFFu;
 
   /// `events_per_actor` bounds each ring; 0 disables recording entirely
-  /// (every Record* returns on its first branch, nothing allocates).
+  /// (every Record* returns on its first branch; no ring or staging buffer
+  /// is allocated).
   explicit FlightRecorder(std::size_t events_per_actor)
-      : capacity_(events_per_actor) {
-    if (capacity_ > 0) staged_.reserve(kStageCapacity);
+      : capacity_(events_per_actor),
+        type_flags_(std::make_unique<std::atomic<std::uint32_t>[]>(
+            kMaxTypeIds)) {
+    EnableLanes(1);
   }
 
   bool Enabled() const noexcept { return capacity_ > 0; }
   std::size_t Capacity() const noexcept { return capacity_; }
 
-  /// Timestamps come from `*now` at append time (the owning network binds
-  /// this to its simulator's clock). Unbound records stamp 0.
-  void BindClock(const double* now) noexcept { now_ = now; }
+  /// Timestamps of `lane`'s appends come from `*now` at append time (the
+  /// owning network binds each lane to its shard simulator's clock).
+  /// Unbound records stamp 0.
+  void BindClock(const double* now, std::uint32_t lane = 0) noexcept {
+    if (lane < lanes_.size()) lanes_[lane].now = now;
+  }
 
-  /// Sharded runs: give each of `lanes` writer threads (obs/lane.hpp) a
-  /// private staging buffer, local sequence counter and clock binding.
-  /// Global seq becomes (local_seq << 4) | lane — monotone per lane,
-  /// deterministic per record, comparable across lanes — so lanes must be
-  /// <= 16. Ring distribution takes a mutex per drain batch (one lock per
+  /// Give each of `lanes` writer threads (obs/lane.hpp) a private staging
+  /// buffer, local sequence counter and clock binding; the constructor
+  /// sets up lane 0. Global seq is (local_seq << bits) | lane with
+  /// bits = bit_width(lanes - 1) — monotone per lane, deterministic per
+  /// record, comparable across lanes, and the plain append count at one
+  /// lane. Ring distribution takes a mutex per drain batch (one lock per
   /// kStageCapacity appends); ring *retention* order for rings fed by more
   /// than one lane (the world ring) depends on drain interleaving, which
   /// is fine — bundles re-sort by (when, seq). Coordinator-phase only;
-  /// idempotent.
+  /// never shrinks.
   void EnableLanes(std::size_t lanes);
 
-  /// Clock for a worker lane's appends (lane 0 aliases BindClock).
-  void BindLaneClock(std::uint32_t lane, const double* now) noexcept {
-    if (lane == 0) {
-      now_ = now;
-    } else if (lanes_ != nullptr && lane - 1 < lanes_->size()) {
-      (*lanes_)[lane - 1].now = now;
-    }
-  }
-
   /// Remember a MsgTypeId's name for bundle export. Idempotent; the fast
-  /// path (already registered) is a bounds check plus an emptiness check —
-  /// or, once lanes are enabled, one acquire load of a per-type flag (the
-  /// string map is mutex-guarded then, since workers intern mid-window).
+  /// path (already registered) is one acquire load of a per-type flag. The
+  /// string table is mutex-guarded, since shard threads intern mid-window.
   void RegisterTypeName(std::uint32_t type, std::string_view name) {
-    if (type_flags_ != nullptr) {
-      if (type < kMaxTypeIds &&
-          type_flags_[type].load(std::memory_order_acquire) != 0) {
-        return;
-      }
-      RegisterTypeNameLocked(type, name);
+    if (type < kMaxTypeIds &&
+        type_flags_[type].load(std::memory_order_acquire) != 0) {
       return;
     }
-    if (type < type_names_.size() && !type_names_[type].empty()) return;
     RegisterTypeNameSlow(type, name);
   }
   /// Registered name, or "" when the type never registered.
@@ -241,24 +236,17 @@ class FlightRecorder {
 
   /// Seq of the newest event (coordinator-phase read when sharded).
   std::uint64_t LastSeq() const noexcept {
-    if (lanes_ == nullptr) return seq_;
-    std::uint64_t last = seq_ << kLaneSeqBits;
-    for (std::size_t i = 0; i < lanes_->size(); ++i) {
-      const std::uint64_t s = (*lanes_)[i].seq;
-      if (s != 0) {
-        const std::uint64_t tagged =
-            (s << kLaneSeqBits) | static_cast<std::uint64_t>(i + 1);
-        if (tagged > last) last = tagged;
-      }
+    std::uint64_t last = 0;
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      if (lanes_[lane].seq == 0) continue;
+      last = std::max(last, (lanes_[lane].seq << lane_bits_) | lane);
     }
     return last;
   }
   /// Total events ever appended (all lanes).
   std::uint64_t EventsRecorded() const noexcept {
-    std::uint64_t total = seq_;
-    if (lanes_ != nullptr) {
-      for (const LaneBuf& lb : *lanes_) total += lb.seq;
-    }
+    std::uint64_t total = 0;
+    for (const LaneBuf& lb : lanes_) total += lb.seq;
     return total;
   }
   /// Actors with at least one ring slot allocated.
@@ -321,86 +309,59 @@ class FlightRecorder {
     return &rings_[actor];
   }
 
-  /// Max dense MsgTypeId covered by the sharded type-name fast path.
+  /// Max dense MsgTypeId covered by the type-name fast path.
   static constexpr std::uint32_t kMaxTypeIds = 4096;
-  /// Lane tag bits in a sharded seq: seq = (local << 4) | lane.
-  static constexpr unsigned kLaneSeqBits = 4;
 
-  /// One worker lane's private append state (lanes 1..L-1; lane 0 uses the
-  /// legacy members directly so the un-sharded path is untouched).
-  struct LaneBuf {
-    std::vector<RecordedEvent> staged;
-    std::uint64_t seq = 0;
+  /// One writer lane's private append state. Cache-line aligned: shard
+  /// threads bump neighbouring lanes' counters at once.
+  struct alignas(64) LaneBuf {
+    std::vector<RecordedEvent> staged;  ///< Appends awaiting distribution.
+    std::uint64_t seq = 0;              ///< Appends so far (local seq).
     const double* now = nullptr;
   };
-
-  LaneBuf* ActiveLane() noexcept {
-    if (lanes_ == nullptr) return nullptr;
-    const std::uint32_t lane = CurrentLane();
-    return lane == 0 ? nullptr : &(*lanes_)[lane - 1];
-  }
 
   /// Flush the staging buffer when full. Called BEFORE the caller's leaf
   /// profiler scope opens: a drain landing inside a sampled append window
   /// would bill its whole batch to one append and get scaled by the
   /// sampling weight — the drain carries its own PROF_SCOPE instead.
   void MaybeDrain() {
-    LaneBuf* lb = ActiveLane();
-    if (lb != nullptr) {
-      if (lb->staged.size() == kStageCapacity) DrainLane(*lb);
-      return;
-    }
-    if (staged_.size() == kStageCapacity) Drain();
+    LaneBuf& lb = lanes_[CurrentLane()];
+    if (lb.staged.size() == kStageCapacity) Drain(lb);
   }
 
-  /// Hot path: one sequential POD append into the (reserved, so never
-  /// reallocating) staging buffer. The returned reference stays valid until
-  /// the next Append — callers fill the kind-specific fields immediately.
+  /// Hot path: one sequential POD append into the calling lane's
+  /// (reserved, so never reallocating) staging buffer. The returned
+  /// reference stays valid until the next Append — callers fill the
+  /// kind-specific fields immediately.
   RecordedEvent& Append(std::uint32_t actor) {
-    LaneBuf* lb = ActiveLane();
-    if (lb != nullptr) {
-      lb->staged.emplace_back();
-      RecordedEvent& e = lb->staged.back();
-      e.when = lb->now != nullptr ? *lb->now : 0.0;
-      e.seq = (++lb->seq << kLaneSeqBits) |
-              static_cast<std::uint64_t>(CurrentLane());
-      e.actor = actor;
-      return e;
-    }
-    staged_.emplace_back();
-    RecordedEvent& e = staged_.back();
-    e.when = now_ != nullptr ? *now_ : 0.0;
-    ++seq_;
-    e.seq = lanes_ == nullptr ? seq_ : seq_ << kLaneSeqBits;
+    const std::uint32_t lane = CurrentLane();
+    LaneBuf& lb = lanes_[lane];
+    RecordedEvent& e = lb.staged.emplace_back();
+    e.when = lb.now != nullptr ? *lb.now : 0.0;
+    e.seq = (++lb.seq << lane_bits_) | lane;
     e.actor = actor;
     return e;
   }
 
-  /// Bulk-distribute the staging buffer into the per-actor rings.
-  void Drain();
-  /// Same for a worker lane's buffer (ring access under rings_mutex_).
-  void DrainLane(LaneBuf& lane);
-  /// Shared drain core; the caller holds rings_mutex_ when lanes exist.
-  void DrainBuffer(std::vector<RecordedEvent>& staged);
+  /// Bulk-distribute `lane`'s staging buffer into the per-actor rings
+  /// (under rings_mutex_: shard threads drain concurrently).
+  void Drain(LaneBuf& lane);
   /// Drain every lane's buffer (read side; coordinator phase only).
   void FlushAll();
   void Grow(std::uint32_t actor);
   void RegisterTypeNameSlow(std::uint32_t type, std::string_view name);
-  void RegisterTypeNameLocked(std::uint32_t type, std::string_view name);
 
   std::size_t capacity_ = 0;
-  const double* now_ = nullptr;
-  std::uint64_t seq_ = 0;
   std::vector<Ring> rings_;
   Ring world_;  ///< kWorldActor's ring (oracle ground-truth events).
-  std::vector<RecordedEvent> staged_;  ///< Appends awaiting distribution.
   std::vector<std::string> type_names_;
-  /// Worker-lane append state (null when un-sharded).
-  std::unique_ptr<std::vector<LaneBuf>> lanes_;
-  /// Per-type "name registered" flags backing the sharded fast path.
+  /// Append state, one entry per writer lane, lane 0 included.
+  std::vector<LaneBuf> lanes_;
+  unsigned lane_bits_ = 0;  ///< Lane tag width in a seq.
+  /// Per-type "name registered" flags backing the type-name fast path.
   std::unique_ptr<std::atomic<std::uint32_t>[]> type_flags_;
-  std::mutex rings_mutex_;  ///< Guards rings once lanes exist.
-  std::mutex names_mutex_;  ///< Guards type_names_ once lanes exist.
+  std::mutex rings_mutex_;  ///< Guards rings against concurrent drains.
+  std::mutex names_mutex_;  ///< Guards type_names_.
 };
 
 }  // namespace peertrack::obs

@@ -711,21 +711,28 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
 
   // Membership changes move the ground-truth ring every check compares
   // against, so they dirty every node; pointer/finger writes dirty only the
-  // writer. Membership runs first — its MarkAll dominates, and Mark() is a
-  // no-op afterwards, so the pointer and finger loops can be skipped
-  // outright.
+  // writer. MarkAll dominates and Mark() is a no-op afterwards, so the
+  // first membership delta ends the walk.
   monitor.AddDrainHandler([neighbor_marks,
                            finger_marks](const StateDeltaBus& bus) {
-    if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
-      neighbor_marks->MarkAll();
-      finger_marks->MarkAll();
-      return;
-    }
-    for (const std::uint32_t actor : bus.StagedNeighbors()) {
-      neighbor_marks->Mark(actor);
-    }
-    for (const StateDeltaBus::StagedFinger& finger : bus.StagedFingers()) {
-      finger_marks->Mark(finger.actor);
+    for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+      for (const StateDelta& d : bus.Staged(lane)) {
+        switch (d.kind) {
+          case DeltaKind::kMembership:
+          case DeltaKind::kHandoffFinished:
+            neighbor_marks->MarkAll();
+            finger_marks->MarkAll();
+            return;
+          case DeltaKind::kRingNeighbors:
+            neighbor_marks->Mark(d.actor);
+            break;
+          case DeltaKind::kRingFinger:
+            finger_marks->Mark(d.actor);
+            break;
+          default:
+            break;
+        }
+      }
     }
   });
   monitor.AddScanEpilogue([neighbor_marks, finger_marks](double now) {
@@ -864,12 +871,10 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
 
 namespace {
 
-/// Where one index entry for an object lives, as remembered from deltas.
-/// `node`/`entry` are a resolution cache, not identity: the entry maps are
-/// node-based (pointers survive rehash and unrelated erases), every erase
-/// publishes a delta that removes this loc from the mirror, and tracker
-/// objects outlive the run — so a cached pair stays valid while the loc
-/// exists and its node is alive, and audits skip the by-key re-find.
+/// Where one index entry for an object lives (or lived: the drain handler
+/// never removes a loc, ResolveSites prunes it), as remembered from deltas.
+/// `node` is a resolution cache, not identity — tracker objects outlive
+/// the run, so it stays valid for the loc's lifetime.
 struct SiteLoc {
   std::uint32_t actor = 0xFFFFFFFFu;
   bool individual = false;  ///< Flat individual-mode map vs prefix bucket.
@@ -1427,138 +1432,135 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
                       : nullptr;
 
   // One drain handler for the whole installer: marks the shared dirty sets
-  // and keeps the site mirror fresh between full rebuilds. It inserts each
-  // key into ONE shared set per key space, not one per check, and walks
-  // each staged buffer in a tight loop. Two properties make this cheap:
-  // (a) MarkAll-dominant kinds run first, so once a key space is flat its
-  // fine-grain loop is skipped outright (the index stream still walks
-  // regardless — mirror maintenance is unconditional); (b) a write group
+  // and keeps the site mirror fresh between full rebuilds, in one pass over
+  // the staged lanes. It inserts each key into ONE shared set per key
+  // space, not one per check. Two properties make this cheap: (a) once a
+  // key space is flat (MarkAll) its Mark/Defer calls return on their first
+  // branch — only the mirror upserts keep working; (b) a write group
   // publishes its per-prefix upserts back to back, so same-object records
-  // are adjacent within a stream and the MarkSet memos swallow the
-  // duplicate Defer probes.
+  // are adjacent and the MarkSet memos swallow the duplicate Defer probes.
+  //
+  // The mirror only grows here: an erase marks its object for audit and
+  // leaves the location to ResolveSites, which prunes locations that no
+  // longer hold an entry. Lanes are walked in lane order, not time order —
+  // a control-phase write (a graceful leave's heir adoption) lands in lane
+  // 0 while the same actor's window writes land in its shard's lane — so
+  // applying an erase here could drop a location a later upsert restored.
   monitor.AddDrainHandler([state, visit_marks, object_marks,
                            shape_marks](const StateDeltaBus& bus) {
-    // The alive set is part of every tracking check's ground truth (site
-    // sweeps skip dead nodes, replication re-derives successors), so
-    // membership movement re-judges everything. Rare by construction: only
-    // churn events publish these.
-    if (!bus.StagedHandoffs().empty()) state->departed_any = true;
-    if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
-      visit_marks->MarkAll();
-      object_marks->MarkAll();
-      shape_marks->MarkAll();
-    }
-    if (bus.StagedLpChanges() > 0) shape_marks->MarkAll();
-    // Graceful-leave extraction moves visit lists wholesale; the adopter
-    // republishes per record, but the extracted records must be re-judged
-    // away too.
-    if (!bus.StagedDropped().empty()) visit_marks->MarkAll();
-
-    // Each loop prefetches the map lines a few records ahead: the staged
-    // buffers stream sequentially, so the (random) mark/mirror probe for
-    // record i+k warms while records i..i+k-1 do real work.
+    // Each record prefetches the map lines the record kAhead further on
+    // will probe: the lanes stream sequentially, so the (random) mark or
+    // mirror probe for record i+k warms while records i..i+k-1 do real
+    // work.
     constexpr std::size_t kAhead = 8;
-    const auto& index_stream = bus.StagedIndexStream();
-    const bool objects_flat = object_marks->all;
     // One-record site-list memo: a write group publishes its per-prefix
     // upserts back to back, so ~3/4 of the mirror probes hit the object of
-    // the record just processed. The cached vector pointer stays valid
-    // across vector mutation (the map slot doesn't move); it is refreshed
-    // on every probe and dropped when its entry is erased, and any
-    // operator[] insert refreshes it from the post-rehash slot.
+    // the record just processed. Only operator[] inserts into the mirror,
+    // and every probe refreshes the memo, so the cached pointer never
+    // outlives a rehash.
     hash::UInt160 memo_object{};
     std::vector<SiteLoc>* memo_locs = nullptr;
-    for (std::size_t i = 0; i < index_stream.size(); ++i) {
-      if (i + kAhead < index_stream.size()) {
-        const StateDeltaBus::StagedIndex& n = index_stream[i + kAhead];
-        state->sites.Prefetch(n.object);
-        if (!objects_flat) object_marks->deferred.Prefetch(n.object);
-      }
-      const StateDeltaBus::StagedIndex& s = index_stream[i];
-      if (s.erase) {
-        std::vector<SiteLoc>* locs =
-            (memo_locs != nullptr && s.object == memo_object)
-                ? memo_locs
-                : state->sites.Find(s.object);
-        if (locs != nullptr) {
-          std::erase(*locs, SiteLoc{s.actor, s.individual, s.prefix});
-          if (locs->empty()) {
-            state->sites.Erase(s.object);
-            locs = nullptr;
+    for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+      const std::vector<StateDelta>& staged = bus.Staged(lane);
+      for (std::size_t i = 0; i < staged.size(); ++i) {
+        if (i + kAhead < staged.size()) {
+          const StateDelta& n = staged[i + kAhead];
+          switch (n.kind) {
+            case DeltaKind::kIndexUpsert:
+              state->sites.Prefetch(n.object);
+              [[fallthrough]];
+            case DeltaKind::kIndexErase:
+            case DeltaKind::kReplicaUpsert:
+            case DeltaKind::kReplicaErase:
+            case DeltaKind::kObjectTruth:
+              if (!object_marks->all) object_marks->deferred.Prefetch(n.object);
+              break;
+            case DeltaKind::kIopVisit:
+              if (!visit_marks->all) {
+                visit_marks->deferred.Prefetch(
+                    VisitKey{n.object, n.actor, n.when});
+              }
+              break;
+            default:
+              break;
           }
         }
-        memo_object = s.object;
-        memo_locs = locs;
-        object_marks->Mark(s.object);
-      } else {
-        std::vector<SiteLoc>* locs =
-            (memo_locs != nullptr && s.object == memo_object)
-                ? memo_locs
-                : &state->sites[s.object];
-        AddUniqueLoc(*locs, SiteLoc{s.actor, s.individual, s.prefix});
-        memo_object = s.object;
-        memo_locs = locs;
-        if (s.when >= 0.0) {
-          object_marks->Defer(s.object, s.when);
-        } else {
-          object_marks->Mark(s.object);
+        const StateDelta& d = staged[i];
+        switch (d.kind) {
+          // The alive set is part of every tracking check's ground truth
+          // (site sweeps skip dead nodes, replication re-derives
+          // successors), so membership movement re-judges everything. Rare
+          // by construction: only churn events publish these.
+          case DeltaKind::kHandoffFinished:
+            state->departed_any = true;
+            [[fallthrough]];
+          case DeltaKind::kMembership:
+            visit_marks->MarkAll();
+            object_marks->MarkAll();
+            shape_marks->MarkAll();
+            break;
+          case DeltaKind::kLpChange:
+            shape_marks->MarkAll();
+            break;
+          // Graceful-leave extraction moves visit lists wholesale; the
+          // adopter republishes per record, but the extracted records must
+          // be re-judged away too.
+          case DeltaKind::kIopDropped:
+            visit_marks->MarkAll();
+            break;
+          case DeltaKind::kIndexUpsert: {
+            std::vector<SiteLoc>* locs =
+                (memo_locs != nullptr && d.object == memo_object)
+                    ? memo_locs
+                    : &state->sites[d.object];
+            AddUniqueLoc(*locs, SiteLoc{d.actor, d.individual, d.prefix()});
+            memo_object = d.object;
+            memo_locs = locs;
+            if (d.when >= 0.0) {
+              object_marks->Defer(d.object, d.when);
+            } else {
+              object_marks->Mark(d.object);
+            }
+            shape_marks->Mark(d.actor);
+            break;
+          }
+          case DeltaKind::kIndexErase:
+            object_marks->Mark(d.object);
+            shape_marks->Mark(d.actor);
+            break;
+          // Replica upserts and truth moves carry the arrival that starts
+          // the settle clock: every object-grain check's own pending logic
+          // would return exactly `when + staleness` for this state, so park
+          // the audit there.
+          case DeltaKind::kReplicaUpsert:
+          case DeltaKind::kObjectTruth:
+            if (d.when >= 0.0) {
+              object_marks->Defer(d.object, d.when);
+            } else {
+              object_marks->Mark(d.object);
+            }
+            break;
+          case DeltaKind::kReplicaErase:
+            object_marks->Mark(d.object);
+            break;
+          // A visit write is judgeable once its gate settles (the record's
+          // own arrival, or the next hop's arrival for a departure write);
+          // a coarse publish with no arrival re-judges every record.
+          case DeltaKind::kIopVisit:
+            if (d.when >= 0.0) {
+              visit_marks->Defer(VisitKey{d.object, d.actor, d.when},
+                                 d.gate >= 0.0 ? d.gate : d.when);
+            } else {
+              visit_marks->MarkAll();
+            }
+            break;
+          case DeltaKind::kPrefixShape:
+            shape_marks->Mark(d.actor);
+            break;
+          case DeltaKind::kRingNeighbors:
+          case DeltaKind::kRingFinger:
+            break;
         }
-      }
-      shape_marks->Mark(s.actor);
-    }
-    // Replica upserts and truth moves carry the arrival that starts the
-    // settle clock: every object-grain check's own pending logic would
-    // return exactly `when + staleness` for this state, so park the audit
-    // there.
-    if (!object_marks->all) {
-      const auto& replicas = bus.StagedReplicas();
-      for (std::size_t i = 0; i < replicas.size(); ++i) {
-        if (i + kAhead < replicas.size()) {
-          object_marks->deferred.Prefetch(replicas[i + kAhead].object);
-        }
-        const StateDeltaBus::StagedObject& s = replicas[i];
-        if (s.erase || s.when < 0.0) {
-          object_marks->Mark(s.object);
-        } else {
-          object_marks->Defer(s.object, s.when);
-        }
-      }
-      const auto& truths = bus.StagedTruths();
-      for (std::size_t i = 0; i < truths.size(); ++i) {
-        if (i + kAhead < truths.size()) {
-          object_marks->deferred.Prefetch(truths[i + kAhead].object);
-        }
-        const StateDeltaBus::StagedObject& s = truths[i];
-        if (s.when >= 0.0) {
-          object_marks->Defer(s.object, s.when);
-        } else {
-          object_marks->Mark(s.object);
-        }
-      }
-    }
-    // A visit write is judgeable once its gate settles (the record's own
-    // arrival, or the next hop's arrival for a departure write); a coarse
-    // publish with no arrival re-judges every record.
-    if (!visit_marks->all) {
-      const auto& visits = bus.StagedVisits();
-      for (std::size_t i = 0; i < visits.size(); ++i) {
-        if (i + kAhead < visits.size()) {
-          const StateDeltaBus::StagedVisit& n = visits[i + kAhead];
-          visit_marks->deferred.Prefetch(VisitKey{n.object, n.actor, n.when});
-        }
-        const StateDeltaBus::StagedVisit& s = visits[i];
-        if (s.when >= 0.0) {
-          visit_marks->Defer(VisitKey{s.object, s.actor, s.when},
-                             s.gate >= 0.0 ? s.gate : s.when);
-        } else {
-          visit_marks->MarkAll();
-          break;
-        }
-      }
-    }
-    if (!shape_marks->all) {
-      for (const StateDeltaBus::StagedShape& s : bus.StagedShapes()) {
-        shape_marks->Mark(s.actor);
       }
     }
   });

@@ -131,7 +131,7 @@ class InvariantMonitor {
   bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
 
   /// Register a staged-backlog consumer (one per installer). At the top of
-  /// every incremental scan each handler walks the bus's Staged*() views
+  /// every incremental scan each handler walks the bus's staged lanes
   /// and marks its per-check dirty sets; the monitor then clears the
   /// backlog. This is the only way deltas reach the checks.
   using DrainHandler = std::function<void(const StateDeltaBus&)>;

@@ -2,17 +2,19 @@
 // Observability lane of the calling thread.
 //
 // The sharded simulation kernel (sim::ShardEngine) runs S event loops on
-// worker threads. Observability sinks that used to assume one writer
-// (counters, histograms, the delta bus, the flight recorder, metrics)
-// become lane-striped: each writer thread appends to its own lane and a
-// deterministic merge folds lanes together at a barrier or at read time.
+// worker threads. Observability sinks that take writes from them (counters,
+// histograms, the delta bus, the flight recorder, metrics) are
+// lane-striped: each writer thread appends to its own lane, and readers
+// fold or walk the lanes in lane order at read time, in the control phase
+// while every worker is parked. The delta bus, the flight recorder and
+// sim::Metrics keep one entry per lane, lane 0 included, indexed by
+// CurrentLane().
 //
 // The lane id lives here, below the rest of obs/, so every sink can route
-// on it without depending on the simulator layer. Lane 0 is the legacy
-// single-threaded lane: the coordinator thread and shard 0 both use it
-// (they never run concurrently — workers are parked whenever coordinator
-// code executes), so un-sharded runs never see a lane other than 0 and
-// keep their exact pre-sharding behavior.
+// on it without depending on the simulator layer. The coordinator thread
+// and shard 0 share lane 0 (they never run concurrently — workers are
+// parked whenever coordinator code executes), so un-sharded runs never
+// see a lane other than 0.
 
 #include <cstdint>
 

@@ -28,10 +28,9 @@ Network::Network(Simulator& simulator, LatencyModel& latency,
                               std::memory_order_relaxed);
   }
   // Metrics and the delta bus grow per-lane state for the shard threads
-  // (no-ops at S=1); the bus's lanes merge at every window barrier.
+  // (no-ops at S=1).
   metrics_.EnableLanes(shards);
   delta_bus_.EnableLanes(shards);
-  engine_.SetBarrierHook([this] { delta_bus_.MergeStagedLanes(); });
 }
 
 ActorId Network::Register(Actor& actor) {
@@ -135,12 +134,11 @@ void Network::SetLossRate(double probability) {
 void Network::EnableRecorder(std::size_t events_per_actor) {
   if (recorder_ != nullptr || events_per_actor == 0) return;
   recorder_ = std::make_unique<obs::FlightRecorder>(events_per_actor);
-  recorder_->BindClock(engine_.SimOf(0).NowPtr());
   delta_bus_.AttachRecorder(recorder_.get());
   const std::size_t lanes = engine_.ShardCount();
   recorder_->EnableLanes(lanes);
-  for (std::uint32_t s = 1; s < lanes; ++s) {
-    recorder_->BindLaneClock(s, engine_.SimOf(s).NowPtr());
+  for (std::uint32_t s = 0; s < lanes; ++s) {
+    recorder_->BindClock(engine_.SimOf(s).NowPtr(), s);
   }
 }
 

@@ -151,7 +151,6 @@ void ShardEngine::RunWindowParallel(Time w_end, bool inclusive) {
     parallel_.store(false, std::memory_order_relaxed);
   }
   ++windows_;
-  if (barrier_hook_) barrier_hook_();
 }
 
 void ShardEngine::WorkerMain(std::uint32_t shard) {

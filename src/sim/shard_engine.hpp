@@ -42,8 +42,8 @@
 //
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route
-// correctly, and after every barrier it runs an optional hook (the
-// owning Network installs the delta-bus lane merge there).
+// correctly; their readers walk the lanes in the control phase, with
+// every shard parked.
 //
 // S=1 is a thread-free pass-through: no workers, no windows, and control()
 // is the root simulator itself, so Run/RunUntil are the root's own (drain
@@ -151,13 +151,6 @@ class ShardEngine {
     return cross_direct_calls_.load(std::memory_order_relaxed);
   }
 
-  /// Hook run on the coordinator thread after every parallel window's
-  /// barrier (before control events or mailbox injection touch the next
-  /// window). The Network merges delta-bus lanes here.
-  void SetBarrierHook(util::UniqueFunction<void()> hook) {
-    barrier_hook_ = std::move(hook);
-  }
-
  private:
   struct TlsState {
     Simulator* sim = nullptr;
@@ -212,7 +205,6 @@ class ShardEngine {
   std::uint64_t cross_msgs_ = 0;
   std::atomic<std::uint64_t> deferrals_{0};
   std::atomic<std::uint64_t> cross_direct_calls_{0};
-  util::UniqueFunction<void()> barrier_hook_;
 
   std::vector<std::thread> workers_;
 };

@@ -2,10 +2,12 @@
 //
 // A prefix gateway delegates its oldest entries to the gateways of the two
 // one-bit-longer prefixes; during index persistence, records for objects
-// unknown locally are pulled back from ascent (shorter-prefix) and descent
-// (longer-prefix) gateways; and when the global Lp changes, buckets split
-// down or merge up so the structure stays a triangle rather than a deep
-// tree. Gateway addresses are cached (per the paper), so each exchange is
+// unknown locally are pulled back from the descent (longer-prefix)
+// gateways this gateway delegated to; and when the global Lp changes,
+// buckets split down or merge up so the structure stays a triangle rather
+// than a deep tree. Split/merge migrate eagerly, so ascent (shorter-prefix)
+// gateways never hold live records and Figure 5's refresh_from_ascent walk
+// has nothing to find. Gateway addresses are cached (per the paper), so each exchange is
 // charged as exactly one request + one response message.
 
 #include <algorithm>
@@ -55,31 +57,6 @@ TrackerNode::FetchResult TrackerNode::FetchEntries(
   }
   if (remove) store_.DropIfEmpty(prefix);
   return result;
-}
-
-void TrackerNode::RefreshFromAscent(std::vector<hash::UInt160>& unknown,
-                                    const hash::Prefix& prefix, PrefixBucket& bucket) {
-  // Figure 5, refresh_from_ascent: walk shorter prefixes down to Lmin,
-  // stopping at the first level with no gateway bucket.
-  hash::Prefix ancestor = prefix;
-  while (ancestor.length > config_.lmin && !unknown.empty()) {
-    ancestor = ancestor.Parent();
-    TrackerNode* owner = peers_.OwnerOf(hash::GroupKey(ancestor));
-    if (owner == nullptr) break;
-    FetchResult fetched;
-    if (owner == this) {
-      fetched = FetchEntries(ancestor, unknown, /*remove=*/true);
-    } else {
-      ChargeRpc("track.fetch_req", 9 + unknown.size() * 20, "track.fetch_resp",
-                1 + kEntryWireBytes, owner->Self().actor);
-      fetched = owner->FetchEntries(ancestor, unknown, /*remove=*/true);
-    }
-    if (!fetched.bucket_exists) break;  // "while there exists gateway node".
-    for (auto& [object, entry] : fetched.entries) {
-      bucket.Upsert(object, entry);
-    }
-    PruneKnown(unknown, bucket);
-  }
 }
 
 void TrackerNode::RefreshFromDescent(std::vector<hash::UInt160>& unknown,
@@ -285,30 +262,14 @@ void TrackerNode::OnPrefixLengthChanged(unsigned new_lp) {
 }
 
 const IndexEntry* TrackerNode::TriangleLookup(const hash::UInt160& object, unsigned lp) {
-  // Lookup algorithm (Section IV-A3): gateway bucket first, then parent and
-  // the two children — 3 extra lookups per object at most in steady state.
+  // Lookup algorithm (Section IV-A3): gateway bucket first, then the
+  // delegated child — ascents hold no live records (see the file comment).
   const hash::Prefix prefix = hash::Prefix::OfKey(object, lp);
   if (PrefixBucket* bucket = store_.TryBucket(prefix)) {
     if (const IndexEntry* entry = bucket->Find(object)) return entry;
   }
   const hash::UInt160 probe[] = {object};
 
-  if (config_.always_refresh_ascent && prefix.length > config_.lmin) {
-    const hash::Prefix parent = prefix.Parent();
-    TrackerNode* owner = peers_.OwnerOf(hash::GroupKey(parent));
-    if (owner != nullptr) {
-      if (owner != this) {
-        ChargeRpc("track.lookup_req", 29, "track.lookup_resp",
-                  1 + kEntryWireBytes, owner->Self().actor);
-      }
-      auto fetched = owner->FetchEntries(parent, probe, /*remove=*/false);
-      if (!fetched.entries.empty()) {
-        // Cache locally so repeated queries hit the gateway bucket.
-        store_.BucketFor(prefix).Upsert(object, fetched.entries.front().second);
-        return store_.BucketFor(prefix).Find(object);
-      }
-    }
-  }
   if (prefix.length < 63 && delegated_children_.contains(prefix)) {
     const hash::Prefix child = prefix.Child(object.BitFromMsb(prefix.length));
     TrackerNode* owner = peers_.OwnerOf(hash::GroupKey(child));

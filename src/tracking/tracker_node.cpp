@@ -262,19 +262,15 @@ void TrackerNode::HandleGroupArrival(const GroupArrival& arrival) {
   PrefixBucket& bucket = store_.BucketFor(arrival.prefix);
 
   // Figure 5, `index`: objects with no local record are refreshed from
-  // ascents and descents before the index is updated.
+  // delegated descents before the index is updated (ascents hold no live
+  // records: split/merge migrate eagerly).
   if (config_.enable_triangle) {
     std::vector<hash::UInt160> unknown;
     for (const auto& [object, _] : arrival.objects) {
       if (bucket.Find(object) == nullptr) unknown.push_back(object);
     }
-    if (!unknown.empty()) {
-      if (config_.always_refresh_ascent) {
-        RefreshFromAscent(unknown, arrival.prefix, bucket);
-      }
-      if (!unknown.empty() && delegated_children_.contains(arrival.prefix)) {
-        RefreshFromDescent(unknown, arrival.prefix, bucket, 0);
-      }
+    if (!unknown.empty() && delegated_children_.contains(arrival.prefix)) {
+      RefreshFromDescent(unknown, arrival.prefix, bucket, 0);
     }
   }
 

@@ -11,9 +11,9 @@
 //    (Tmax/Nmax) and one report per prefix group is routed to the group's
 //    gateway = successor(SHA1(prefix string));
 //  * the Data Triangle (Section IV-A2): delegation of the oldest α·|bucket|
-//    entries to the two child prefixes, refresh_from_ascent /
-//    refresh_from_descent during index persistence, and splitting/merging
-//    when the global prefix length changes;
+//    entries to the two child prefixes, refresh_from_descent during index
+//    persistence, and splitting/merging when the global prefix length
+//    changes;
 //  * query processing (Section IV-B): iterative routing toward the gateway
 //    with intermediate-node interception, then an IOP walk along the
 //    distributed doubly-linked list.
@@ -54,12 +54,6 @@ struct TrackerConfig {
   double alpha = 0.5;                     ///< Delegated fraction per overflow.
   std::size_t delegation_threshold = 4096;///< Bucket size that triggers delegation.
   bool enable_triangle = true;            ///< Data-Triangle machinery on/off.
-  /// Probe ancestor gateways for records even when no local state suggests
-  /// they hold any. Our split/merge migrates eagerly, so ascents cannot
-  /// hold live records and the probes are pure overhead; enable this when
-  /// modelling deployments with lazy (pull-based) migration, where the
-  /// Fig.-5 ascent walk is load-bearing.
-  bool always_refresh_ascent = false;
   std::size_t max_descent_depth = 8;      ///< Safety bound for descent walks.
   std::size_t max_probe_steps = 128;      ///< Query routing safety valve.
   double query_timeout_ms = 60000.0;      ///< Global per-query safety net on
@@ -323,8 +317,6 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
   unsigned CurrentLp() const noexcept { return global_lp_.lp; }
 
   // Data triangle (data_triangle.cpp).
-  void RefreshFromAscent(std::vector<hash::UInt160>& unknown,
-                         const hash::Prefix& prefix, PrefixBucket& bucket);
   void RefreshFromDescent(std::vector<hash::UInt160>& unknown,
                           const hash::Prefix& prefix, PrefixBucket& bucket,
                           std::size_t depth);

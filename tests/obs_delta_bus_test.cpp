@@ -1,4 +1,4 @@
-// StateDeltaBus — the staging claim and the per-kind staged buffers behind
+// StateDeltaBus — the staging claim and the per-lane staged streams behind
 // the monitor's batched drain.
 
 #include "obs/delta_bus.hpp"
@@ -7,6 +7,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/lane.hpp"
 
 namespace peertrack::obs {
 namespace {
@@ -32,45 +34,42 @@ TEST(StateDeltaBus, DrainReplaysStagedDeltasWithFieldsIntact) {
   StateDelta visit = StateDelta::Object(DeltaKind::kIopVisit, 7, Key(1), 10.0);
   visit.gate = 25.0;  // Departure write judged at the next hop's arrival.
   bus.Publish(visit);
-  bus.Publish(StateDelta::Index(DeltaKind::kIndexUpsert, 8, Key(2), true,
-                                hash::Prefix{}, 30.0));
-  bus.Publish(StateDelta::Index(DeltaKind::kIndexErase, 8, Key(2), true,
-                                hash::Prefix{}));
+  const hash::Prefix prefix{0xA000000000000000ull, 3};
+  bus.Publish(StateDelta::Index(DeltaKind::kIndexUpsert, 8, Key(2), false,
+                                prefix, 30.0));
+  bus.Publish(StateDelta::Index(DeltaKind::kIndexErase, 8, Key(2), false,
+                                prefix));
   bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 9));
   EXPECT_EQ(bus.StagedCount(), 4u);
+  ASSERT_EQ(bus.Lanes(), 1u);
 
-  // Each kind lands in its own buffer with the fields it consumes.
-  ASSERT_EQ(bus.StagedMembership().size(), 1u);
-  EXPECT_EQ(bus.StagedMembership()[0], 9u);
-  ASSERT_EQ(bus.StagedVisits().size(), 1u);
-  const StateDeltaBus::StagedVisit& v = bus.StagedVisits()[0];
-  EXPECT_EQ(v.actor, 7u);
-  EXPECT_EQ(v.object, Key(1));
-  EXPECT_EQ(v.when, 10.0);
-  EXPECT_EQ(v.gate, 25.0);
-
-  // Upserts and erases share one stream in arrival order — the site mirror
-  // depends on upsert-before-erase.
-  const auto& index = bus.StagedIndexStream();
-  ASSERT_EQ(index.size(), 2u);
-  EXPECT_FALSE(index[0].erase);
-  EXPECT_EQ(index[0].actor, 8u);
-  EXPECT_EQ(index[0].object, Key(2));
-  EXPECT_EQ(index[0].when, 30.0);
-  EXPECT_TRUE(index[0].individual);
-  EXPECT_TRUE(index[1].erase);
-  EXPECT_TRUE(index[1].individual);
+  // One stream, every kind, fields intact; upsert-before-erase survives.
+  const std::vector<StateDelta>& staged = bus.Staged(0);
+  ASSERT_EQ(staged.size(), 4u);
+  EXPECT_EQ(staged[0].kind, DeltaKind::kIopVisit);
+  EXPECT_EQ(staged[0].actor, 7u);
+  EXPECT_EQ(staged[0].object, Key(1));
+  EXPECT_EQ(staged[0].when, 10.0);
+  EXPECT_EQ(staged[0].gate, 25.0);
+  EXPECT_EQ(staged[1].kind, DeltaKind::kIndexUpsert);
+  EXPECT_EQ(staged[1].actor, 8u);
+  EXPECT_EQ(staged[1].object, Key(2));
+  EXPECT_EQ(staged[1].when, 30.0);
+  EXPECT_FALSE(staged[1].individual);
+  EXPECT_EQ(staged[1].prefix(), prefix);
+  EXPECT_EQ(staged[2].kind, DeltaKind::kIndexErase);
+  EXPECT_EQ(staged[2].prefix(), prefix);
+  EXPECT_EQ(staged[3].kind, DeltaKind::kMembership);
+  EXPECT_EQ(staged[3].actor, 9u);
 
   bus.ClearStaged();
   EXPECT_EQ(bus.StagedCount(), 0u);
-  EXPECT_TRUE(bus.StagedMembership().empty());
-  EXPECT_TRUE(bus.StagedVisits().empty());
-  EXPECT_TRUE(bus.StagedIndexStream().empty());
+  EXPECT_TRUE(bus.Staged(0).empty());
 
-  // A drained bus stages the next interval into clean buffers.
+  // A drained bus stages the next interval into a clean buffer.
   bus.Publish(StateDelta::Global(DeltaKind::kLpChange));
-  EXPECT_EQ(bus.StagedCount(), 1u);
-  EXPECT_EQ(bus.StagedLpChanges(), 1u);
+  ASSERT_EQ(bus.StagedCount(), 1u);
+  EXPECT_EQ(bus.Staged(0)[0].kind, DeltaKind::kLpChange);
   bus.EndStaging();
 }
 
@@ -81,9 +80,57 @@ TEST(StateDeltaBus, EndStagingDiscardsBacklog) {
   bus.EndStaging();
   ASSERT_TRUE(bus.BeginStaging());
   EXPECT_EQ(bus.StagedCount(), 0u);
-  EXPECT_TRUE(bus.StagedMembership().empty());
-  EXPECT_EQ(bus.Published(), 1u);  // The publish tally survives the discard.
+  EXPECT_TRUE(bus.Staged(0).empty());
   bus.EndStaging();
+}
+
+TEST(StateDeltaBus, EachLaneStagesItsOwnPublishesInOrder) {
+  StateDeltaBus bus;
+  bus.EnableLanes(4);
+  ASSERT_EQ(bus.Lanes(), 4u);
+  ASSERT_TRUE(bus.BeginStaging());
+  const hash::Prefix prefix{};
+  // Lane L publishes L+1 interleaved upsert/erase deltas of one
+  // (object, actor), the stream the monitor's site mirror is fed.
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    LaneScope scope(lane);
+    for (std::uint32_t i = 0; i <= lane; ++i) {
+      const DeltaKind kind =
+          i % 2 == 0 ? DeltaKind::kIndexUpsert : DeltaKind::kIndexErase;
+      bus.Publish(StateDelta::Index(kind, /*actor=*/lane, Key(100 + lane),
+                                    true, prefix, static_cast<double>(i)));
+    }
+  }
+  EXPECT_EQ(CurrentLane(), 0u);
+  EXPECT_EQ(bus.StagedCount(), 1u + 2u + 3u + 4u);
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    const std::vector<StateDelta>& staged = bus.Staged(lane);
+    ASSERT_EQ(staged.size(), lane + 1u);
+    for (std::uint32_t i = 0; i <= lane; ++i) {
+      EXPECT_EQ(staged[i].kind, i % 2 == 0 ? DeltaKind::kIndexUpsert
+                                           : DeltaKind::kIndexErase);
+      EXPECT_EQ(staged[i].actor, lane);
+      EXPECT_EQ(staged[i].object, Key(100 + lane));
+      EXPECT_EQ(staged[i].when, static_cast<double>(i));
+    }
+  }
+
+  bus.ClearStaged();
+  EXPECT_EQ(bus.StagedCount(), 0u);
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    EXPECT_TRUE(bus.Staged(lane).empty());
+  }
+
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    LaneScope scope(lane);
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingNeighbors, lane));
+  }
+  EXPECT_EQ(bus.StagedCount(), 4u);
+  bus.EndStaging();
+  EXPECT_EQ(bus.StagedCount(), 0u);
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    EXPECT_TRUE(bus.Staged(lane).empty());
+  }
 }
 
 }  // namespace

@@ -284,8 +284,7 @@ TEST(InvariantMonitor, IncrementalWithoutInstallersClearsBacklog) {
   EXPECT_EQ(bus.StagedCount(), 6u);
   monitor.RunOnce();
   EXPECT_EQ(bus.StagedCount(), 0u);
-  EXPECT_TRUE(bus.StagedNeighbors().empty());
-  EXPECT_EQ(bus.StagedLpChanges(), 0u);
+  EXPECT_TRUE(bus.Staged(0).empty());
   EXPECT_EQ(monitor.DeltasRouted(), 6u);
 }
 

@@ -1,14 +1,19 @@
 // FlightRecorder unit tests: ring wraparound at capacity, bundle capture
-// while a ring is mid-wrap, the zero-capacity disabled path, and the
+// while a ring is mid-wrap, the zero-capacity disabled path, per-lane
+// append streams and their seq tags, and the
 // recording-on/off bit-identity guarantee (same-seed perf_smoke runs must
 // produce identical simulation metrics whether the black box records or
 // not — recording is purely observational).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <set>
+#include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/lane.hpp"
 #include "util/format.hpp"
 #include "workload/perf_smoke.hpp"
 
@@ -117,6 +122,53 @@ TEST(FlightRecorder, ZeroCapacityDisablesEverything) {
   trigger.subject = "s";
   const ForensicBundle bundle = recorder.Collect(trigger, {1});
   EXPECT_TRUE(bundle.events.empty());
+}
+
+// Shard threads append under their own lane (obs/lane.hpp); these tests
+// switch lanes on one thread, so they start no threads of their own.
+TEST(FlightRecorder, EveryLaneAppendsIntoItsOwnTaggedStream) {
+  constexpr std::uint32_t kLanes = 20;  // More than a 4-bit lane tag holds.
+  FlightRecorder recorder(/*events_per_actor=*/8);
+  recorder.EnableLanes(kLanes);
+  std::vector<double> clocks(kLanes);
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    clocks[lane] = 100.0 + lane;
+    recorder.BindClock(&clocks[lane], lane);
+  }
+  const auto append_round = [&recorder](std::uint32_t round) {
+    for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+      LaneScope scope(lane);
+      recorder.RecordMessage(RecEvent::kMsgSend, /*actor=*/lane,
+                             /*peer=*/round, /*type=*/0);
+    }
+  };
+
+  append_round(0);
+  EXPECT_EQ(recorder.EventsRecorded(), kLanes);
+  std::set<std::uint64_t> seqs;
+  std::uint64_t max_seq = 0;
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    const auto window = recorder.Window(lane);
+    ASSERT_EQ(window.size(), 1u) << "lane " << lane;
+    EXPECT_EQ(window[0].actor, lane);
+    EXPECT_DOUBLE_EQ(window[0].when, clocks[lane]);
+    seqs.insert(window[0].seq);
+    max_seq = std::max(max_seq, window[0].seq);
+  }
+  EXPECT_EQ(seqs.size(), kLanes);  // Unique across lanes.
+  EXPECT_EQ(recorder.LastSeq(), max_seq);
+
+  append_round(1);
+  EXPECT_EQ(recorder.EventsRecorded(), 2 * kLanes);
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    const auto window = recorder.Window(lane);
+    ASSERT_EQ(window.size(), 2u) << "lane " << lane;
+    EXPECT_LT(window[0].seq, window[1].seq);  // Rising within the lane.
+    EXPECT_EQ(window[1].peer, 1u);
+    EXPECT_TRUE(seqs.insert(window[1].seq).second);
+    max_seq = std::max(max_seq, window[1].seq);
+  }
+  EXPECT_EQ(recorder.LastSeq(), max_seq);
 }
 
 TEST(FlightRecorder, BundleFilesAreWrittenWithDeterministicStems) {

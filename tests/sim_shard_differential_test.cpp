@@ -13,11 +13,12 @@
 // The scenario is the churn-soak schedule (protocol joins, crashes,
 // graceful leaves, captures, live trace/locate queries) with an
 // incremental invariant monitor riding along on the control plane — so a
-// pass also certifies the observability lanes: per-shard delta buses
-// merged at window barriers feed the monitor the same staged backlog the
-// single-threaded run stages directly (zero cross-check misses), and, on
-// the loss-free network, the run self-heals (zero open violations at
-// quiesce) at every shard count.
+// pass also certifies the observability lanes: the per-shard delta lanes
+// the monitor walks at scan time carry exactly the deltas the
+// single-threaded run stages (same count routed, zero cross-check
+// misses), the flight recorder's per-lane appends add up to the oracle's
+// on the loss-free network, and that run self-heals (zero open violations
+// at quiesce) at every shard count.
 //
 // Every actor draws latency, loss and rpc timeout jitter from its own
 // stream at every shard count, so the friendly network (constant latency,
@@ -197,6 +198,11 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
   config.shards = shards;
   tracking::TrackingSystem system(16, std::move(config));
   system.network().SetLossRate(weather.loss);
+  // The calm worlds also record: every lane's appends must add up to the
+  // oracle's. (The lossy leg stays recorder-free to keep its run time.)
+  if (weather.loss == 0.0) {
+    system.network().EnableRecorder(/*events_per_actor=*/256);
+  }
   util::Rng rng(seed * 7919 + 3);
 
   std::vector<hash::UInt160> objects;
@@ -261,8 +267,8 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
   system.RunUntil(system.simulator().Now() + 60000.0);
   monitor.RunOnce(/*force_full_sweep=*/true);
 
-  // The lane-merge path must be byte-equivalent to inline staging: the
-  // forced full sweep re-audits the universe and must find nothing the
+  // The lane walk must be equivalent to single-lane staging: the forced
+  // full sweep re-audits the universe and must find nothing the
   // delta-driven path missed, at every shard count.
   EXPECT_EQ(monitor.CrossCheckMisses(), 0u)
       << "cross-check miss (seed " << seed << ", shards " << shards << ")";
@@ -303,6 +309,12 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
       system.metrics().TotalMessages(), system.metrics().TotalBytes(),
       system.metrics().DroppedByLoss(), system.metrics().RpcRetries(),
       system.metrics().RpcTimeouts(), system.ProcessedEvents()));
+  // Every lane's staged deltas reach the monitor exactly once, and every
+  // lane's recorder appends are counted exactly once.
+  const obs::FlightRecorder* recorder = system.network().recorder();
+  digest.Add(util::Format(
+      "obs deltas_routed={} events_recorded={}", monitor.DeltasRouted(),
+      recorder != nullptr ? recorder->EventsRecorded() : 0));
   DigestMetrics(system.metrics(), digest);
   digest.Sort();
   return digest.lines;
