@@ -202,7 +202,7 @@ void TrackerNode::AcceptEntries(
         }
       }
     }
-    ReplicateEntries(accepted, obs::TraceContext{});
+    ReplicateEntries(accepted);
     return;
   }
   if (prefix.length < lp) {
@@ -231,7 +231,7 @@ void TrackerNode::AcceptEntries(
       }
     }
   }
-  ReplicateEntries(accepted, obs::TraceContext{});
+  ReplicateEntries(accepted);
 }
 
 void TrackerNode::OnPrefixLengthChanged(unsigned new_lp) {

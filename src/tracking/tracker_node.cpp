@@ -1,5 +1,7 @@
 #include "tracking/tracker_node.hpp"
 
+#include <utility>
+
 #include "obs/profiler.hpp"
 #include "util/logging.hpp"
 
@@ -125,8 +127,9 @@ void TrackerNode::IndexIndividually(const hash::UInt160& object, moods::Time at)
   report->arrived = at;
   obs::Tracer& tracer = chord_.network().tracer();
   if (tracer.Enabled()) {
-    // Zero-length root marker: the id rides the M1 → M2/M3/replica chain,
-    // so the one-way indexing fan-out reconstructs as one causal trace.
+    // Zero-length root marker: the id rides the M1 → M2/M3 chain, so the
+    // one-way indexing fan-out reconstructs as one causal trace. Replica
+    // pushes are batched across writes and carry no trace.
     const double now = chord_.network().simulator().Now();
     report->trace = tracer.StartTrace("index.m1", Self().actor, now);
     tracer.EndSpan(report->trace, now);
@@ -248,8 +251,7 @@ void TrackerNode::HandleObjectArrival(const ObjectArrival& arrival) {
     individual_.Upsert(arrival.object, IndexEntry{arrival.at, arrival.arrived});
     if (config_.replicate_index) {
       ReplicateEntries(
-          {{arrival.object, arrival.at, arrival.arrived, hash::Prefix{}}},
-          arrival.trace);
+          {{arrival.object, arrival.at, arrival.arrived, hash::Prefix{}}});
     }
   }
 }
@@ -315,7 +317,7 @@ void TrackerNode::HandleGroupArrival(const GroupArrival& arrival) {
             {object, entry->latest_node, entry->latest_arrived, arrival.prefix});
       }
     }
-    ReplicateEntries(items, arrival.trace);
+    ReplicateEntries(items);
   }
 
   if (config_.enable_triangle) MaybeDelegate(arrival.prefix, bucket);
@@ -336,14 +338,51 @@ std::vector<chord::NodeRef> TrackerNode::ReplicaTargets() const {
   return targets;
 }
 
-void TrackerNode::ReplicateEntries(const std::vector<ReplicaUpdate::Item>& items,
-                                   const obs::TraceContext& ctx) {
+void TrackerNode::ReplicateEntries(const std::vector<ReplicaUpdate::Item>& items) {
   if (items.empty() || !config_.replicate_index) return;
   PROF_SCOPE("tracking", "replicate");
+  ArmReplicaFlush();
+  replica_pending_.insert(replica_pending_.end(), items.begin(), items.end());
+}
+
+void TrackerNode::ArmReplicaFlush() {
+  if (!replica_pending_.empty() || replica_full_push_) return;  // Armed.
+  // Self-timer: owning shard (see ArmWindowTimer).
+  auto& simulator = chord_.network().SimulatorFor(Self().actor);
+  replica_timer_ = simulator.ScheduleAt(
+      simulator.Now() + config_.replica_flush_ms, [this] { FlushReplicas(); });
+}
+
+void TrackerNode::FlushReplicas() {
+  if (replica_pending_.empty() && !replica_full_push_) return;
+  PROF_SCOPE("tracking", "replica_flush");
+  replica_timer_.Cancel();
+  std::vector<ReplicaUpdate::Item> items = std::exchange(replica_pending_, {});
+  const bool full = std::exchange(replica_full_push_, false);
+  if (!chord_.Alive()) return;
+  if (full && !leaving_) {
+    // Anti-entropy: the whole index supersedes the buffered items (each
+    // entry still held here is in it; the rest left with a migration or a
+    // delegation, whose receivers re-replicate them).
+    items.clear();
+    items.reserve(individual_.Size() + store_.TotalEntries());
+    for (const auto& [object, entry] : individual_.Entries()) {
+      items.push_back({object, entry.latest_node, entry.latest_arrived, hash::Prefix{}});
+    }
+    for (const auto& prefix : store_.Prefixes()) {
+      const PrefixBucket* bucket = store_.TryBucket(prefix);
+      for (const auto& [object, entry] : bucket->Entries()) {
+        items.push_back({object, entry.latest_node, entry.latest_arrived, prefix});
+      }
+    }
+    if (!items.empty()) ctr_anti_entropy_.Add();
+  }
+  if (items.empty()) return;
+  // Targets resolve now, not at buffering time, so a batch follows the
+  // successor set as it stands when it leaves.
   for (const chord::NodeRef& target : ReplicaTargets()) {
     auto update = std::make_unique<ReplicaUpdate>();
     update->items = items;
-    update->trace = ctx;
     // Losing a push would silently orphan the replica until the next
     // anti-entropy round, so it retries; a target that stays dead is
     // handled by chord maintenance, not here.
@@ -367,6 +406,8 @@ void TrackerNode::HandleReplicaErase(const ReplicaErase& erase) {
 
 void TrackerNode::SendReplicaErase(std::vector<hash::UInt160> objects) {
   if (objects.empty() || !config_.replicate_index) return;
+  // Buffered upserts go out first, so the erase supersedes them on arrival.
+  FlushReplicas();
   for (const chord::NodeRef& target : ReplicaTargets()) {
     auto erase = std::make_unique<ReplicaErase>();
     erase->objects = objects;
@@ -493,33 +534,8 @@ void TrackerNode::PromoteOwnedReplicas() {
 }
 
 void TrackerNode::ScheduleAntiEntropy() {
-  if (anti_entropy_scheduled_) return;
-  anti_entropy_scheduled_ = true;
-  // Self-timer: owning shard (see ArmWindowTimer).
-  auto& simulator = chord_.network().SimulatorFor(Self().actor);
-  anti_entropy_timer_ = simulator.ScheduleAt(
-      simulator.Now() + config_.anti_entropy_delay_ms, [this] {
-        anti_entropy_scheduled_ = false;
-        if (chord_.Alive() && !leaving_) RunAntiEntropy();
-      });
-}
-
-void TrackerNode::RunAntiEntropy() {
-  PROF_SCOPE("tracking", "anti_entropy");
-  std::vector<ReplicaUpdate::Item> items;
-  items.reserve(individual_.Size() + store_.TotalEntries());
-  for (const auto& [object, entry] : individual_.Entries()) {
-    items.push_back({object, entry.latest_node, entry.latest_arrived, hash::Prefix{}});
-  }
-  for (const auto& prefix : store_.Prefixes()) {
-    const PrefixBucket* bucket = store_.TryBucket(prefix);
-    for (const auto& [object, entry] : bucket->Entries()) {
-      items.push_back({object, entry.latest_node, entry.latest_arrived, prefix});
-    }
-  }
-  if (items.empty()) return;
-  ctr_anti_entropy_.Add();
-  ReplicateEntries(items, obs::TraceContext{});
+  ArmReplicaFlush();
+  replica_full_push_ = true;
 }
 
 // --- Graceful departure -------------------------------------------------------
@@ -530,6 +546,7 @@ TrackerNode::LeaveSummary TrackerNode::BeginLeave() {
   leaving_ = true;
   summary.left = true;
   FlushWindow();
+  FlushReplicas();
   const chord::NodeRef successor = chord_.Successor();
   summary.successor = successor;
   if (obs::FlightRecorder* recorder = chord_.network().recorder()) {
@@ -570,6 +587,7 @@ void TrackerNode::FinishLeave() {
   if (!chord_.Alive()) return;  // Crashed mid-leave; nothing left to hand off.
   PROF_SCOPE("tracking", "leave_handoff");
   FlushWindow();
+  FlushReplicas();
   const chord::NodeRef successor = chord_.Successor();
   TrackerNode* heir =
       successor.actor == Self().actor ? nullptr : peers_.TrackerByActor(successor.actor);
@@ -734,7 +752,7 @@ void TrackerNode::AcceptIndividualEntries(
       }
     }
   }
-  ReplicateEntries(accepted, obs::TraceContext{});
+  ReplicateEntries(accepted);
 }
 
 }  // namespace peertrack::tracking

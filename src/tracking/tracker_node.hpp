@@ -66,7 +66,8 @@ struct TrackerConfig {
   /// the gateway's first `replication_factor` ring successors. When the
   /// gateway crashes, Chord makes the nearest surviving successor the key's
   /// new owner, which promotes its replica — so L(o, t) keeps resolving.
-  /// One acknowledged push per batch per replica target.
+  /// Updates buffer for `replica_flush_ms`, then go out as one acknowledged
+  /// push per replica target.
   bool replicate_index = false;
   /// Replica targets per gateway (only used when replicate_index). R=2
   /// survives a gateway crash plus one concurrent successor crash.
@@ -76,8 +77,11 @@ struct TrackerConfig {
   /// Tmax plus a few network round-trips, so the rehoming M2/M3 updates
   /// land while the departing node can still receive them.
   double leave_settle_ms = 2500.0;
-  /// Debounce for the anti-entropy push after a neighborhood change.
-  double anti_entropy_delay_ms = 100.0;
+  /// Debounce of the replica push: the first buffered update (or an
+  /// anti-entropy request after a neighborhood change) arms one flush this
+  /// far ahead. A replica trails its primary by at most this plus one rpc
+  /// delivery.
+  double replica_flush_ms = 100.0;
 };
 
 /// Network-wide prefix length, shared by reference across all trackers
@@ -283,11 +287,14 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
   std::unique_ptr<ReplicaAck> HandleReplica(const ReplicaUpdate& update);
   void HandleReplicaErase(const ReplicaErase& erase);
   void HandleIopRepoint(const IopRepoint& update);
-  /// Mirror freshly-updated entries to the first R ring successors (one
-  /// acknowledged RPC per target). `ctx` is the originating index trace
-  /// (invalid when untraced).
-  void ReplicateEntries(const std::vector<ReplicaUpdate::Item>& items,
-                        const obs::TraceContext& ctx);
+  /// Buffer freshly-updated entries for the next replica flush.
+  void ReplicateEntries(const std::vector<ReplicaUpdate::Item>& items);
+  /// Arm the replica flush timer unless a flush is already due.
+  void ArmReplicaFlush();
+  /// Push the buffered entries — or, when anti-entropy asked for it, the
+  /// whole index — as one acknowledged ReplicaUpdate per current replica
+  /// target. A crashed node drops the buffer and sends nothing.
+  void FlushReplicas();
   /// First `replication_factor` distinct successor-list entries (excluding
   /// self) — the nodes that inherit this gateway's keys on a crash.
   std::vector<chord::NodeRef> ReplicaTargets() const;
@@ -296,10 +303,9 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
   /// Move replica records whose gateway key this node now owns into the
   /// authoritative index (successor promotion after a crash).
   void PromoteOwnedReplicas();
-  /// Debounced full-state push to the current replica targets; re-protects
+  /// Make the next replica flush push the full index state; re-protects
   /// the index after the successor set changes (join, crash, scrub).
   void ScheduleAntiEntropy();
-  void RunAntiEntropy();
   void FinishLeave();
   /// Announce graceful-handoff completion on the mutation-delta bus: the
   /// handoff.complete check only has work to do once some node departed.
@@ -392,8 +398,12 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
   bool leaving_ = false;
   bool left_gracefully_ = false;
   sim::EventHandle leave_timer_;
-  bool anti_entropy_scheduled_ = false;
-  sim::EventHandle anti_entropy_timer_;
+
+  // Replica push buffer: the flush timer is armed exactly while an item is
+  // pending or a full push is requested.
+  std::vector<ReplicaUpdate::Item> replica_pending_;
+  bool replica_full_push_ = false;
+  sim::EventHandle replica_timer_;
 
   std::vector<std::unique_ptr<moods::Receptor>> receptors_;
 

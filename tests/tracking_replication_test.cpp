@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "tracking/tracking_system.hpp"
 #include "workload/scenario.hpp"
 
@@ -131,6 +135,133 @@ TEST(Replication, CostIsBoundedPerIndexBatchAndTarget) {
   EXPECT_LE(with.indexing_messages,
             base.indexing_messages + 2 * r * (groups + anti_entropy));
   EXPECT_GT(with.indexing_messages, base.indexing_messages);
+}
+
+/// `count` distinct object keys under `prefix`: group reports for them all
+/// go to the one gateway owning hash::GroupKey(prefix).
+std::vector<hash::UInt160> ObjectsUnder(const hash::Prefix& prefix,
+                                        std::size_t count) {
+  std::vector<hash::UInt160> objects;
+  for (std::size_t i = 0; objects.size() < count; ++i) {
+    const auto object = hash::ObjectKey("epc:batch-" + std::to_string(i));
+    if (prefix.Matches(object)) objects.push_back(object);
+  }
+  return objects;
+}
+
+/// The first `r` distinct successors of `node` (ReplicaTargets' rule).
+std::vector<TrackerNode*> ReplicaHolders(TrackingSystem& system,
+                                         TrackerNode& node, std::size_t r) {
+  std::vector<TrackerNode*> holders;
+  for (const chord::NodeRef& entry : node.chord().successors().Entries()) {
+    TrackerNode* holder = system.TrackerByActor(entry.actor);
+    if (holder == &node ||
+        std::find(holders.begin(), holders.end(), holder) != holders.end()) {
+      continue;
+    }
+    holders.push_back(holder);
+    if (holders.size() == r) break;
+  }
+  return holders;
+}
+
+TEST(Replication, GroupArrivalsInsideOneFlushCostOnePushPerTarget) {
+  TrackingSystem system(16, ReplicationConfig(IndexingMode::kGroup, true));
+  system.Run();
+  const hash::Prefix prefix =
+      hash::Prefix::OfKey(hash::ObjectKey("epc:anchor"), system.CurrentLp());
+  // One capture per node: each node's window closes into its own group
+  // report, and all K reports reach the gateway within a few hops of
+  // each other — well inside one replica flush.
+  constexpr std::size_t kArrivals = 8;
+  const auto objects = ObjectsUnder(prefix, kArrivals);
+  const double at = system.simulator().Now() + 10.0;
+  for (std::size_t i = 0; i < kArrivals; ++i) system.CaptureAt(i, objects[i], at);
+
+  const std::uint64_t groups_before =
+      system.metrics().Counter("track.group_handled");
+  const std::uint64_t pushes_before =
+      system.metrics().ForType("track.replica").count;
+  system.Run();
+  ASSERT_EQ(system.metrics().Counter("track.group_handled") - groups_before,
+            kArrivals);
+
+  const std::size_t r = system.config().tracker.replication_factor;
+  EXPECT_EQ(system.metrics().ForType("track.replica").count - pushes_before, r);
+  TrackerNode* gateway = system.OwnerOf(hash::GroupKey(prefix));
+  const auto holders = ReplicaHolders(system, *gateway, r);
+  ASSERT_EQ(holders.size(), r);
+  for (TrackerNode* holder : holders) {
+    for (const auto& object : objects) {
+      EXPECT_NE(holder->replica_store().Find(object), nullptr)
+          << "replica missing at " << holder->Self().Describe();
+    }
+  }
+}
+
+TEST(Replication, BufferedUpsertDoesNotResurrectAnErasedReplica) {
+  SystemConfig config = ReplicationConfig(IndexingMode::kGroup, true);
+  config.tracker.delegation_threshold = 4;
+  TrackingSystem system(16, config);
+  system.Run();
+  const hash::Prefix prefix =
+      hash::Prefix::OfKey(hash::ObjectKey("epc:anchor"), system.CurrentLp());
+  // One report of 8 objects: the gateway buffers their replica upserts,
+  // then overflows the threshold and delegates half of them, erasing
+  // those replicas while the upserts are still buffered.
+  const auto objects = ObjectsUnder(prefix, 8);
+  const double at = system.simulator().Now() + 10.0;
+  for (const auto& object : objects) system.CaptureAt(3, object, at);
+  system.Run();
+  ASSERT_GT(system.metrics().Counter("track.triangle_delegation"), 0u);
+
+  TrackerNode* gateway = system.OwnerOf(hash::GroupKey(prefix));
+  const PrefixBucket* bucket = gateway->prefix_store().TryBucket(prefix);
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_LT(bucket->Size(), objects.size()) << "nothing was delegated";
+  // A replica filed under the parent prefix must mirror a live parent
+  // entry; one for a delegated object would resurrect it on promotion.
+  for (std::size_t i = 0; i < system.NodeCount(); ++i) {
+    for (const auto& [object, record] : system.Tracker(i).replica_store().Records()) {
+      if (record.prefix != prefix) continue;
+      EXPECT_NE(bucket->Find(object), nullptr)
+          << "resurrected replica for " << object.ToShortHex() << " at node "
+          << i;
+    }
+  }
+}
+
+TEST(Replication, CrashedGatewayDropsItsBufferedPush) {
+  TrackingSystem system(16, ReplicationConfig(IndexingMode::kGroup, true));
+  system.Run();
+  const hash::Prefix prefix =
+      hash::Prefix::OfKey(hash::ObjectKey("epc:anchor"), system.CurrentLp());
+  TrackerNode* gateway = system.OwnerOf(hash::GroupKey(prefix));
+  const std::size_t gateway_index = system.NodeIndexOfActor(gateway->Self().actor);
+  const std::size_t capturer = (gateway_index + 1) % system.NodeCount();
+  const auto objects = ObjectsUnder(prefix, 4);
+  const double at = system.simulator().Now() + 10.0;
+  for (const auto& object : objects) system.CaptureAt(capturer, object, at);
+
+  // The window closes at at + Tmax (100 ms); the report reaches the
+  // gateway a few hops later, and its replica flush is due 100 ms after
+  // that. Stop in between, with the push still buffered.
+  const std::uint64_t groups_before =
+      system.metrics().Counter("track.group_handled");
+  system.RunUntil(at + 150.0);
+  ASSERT_EQ(system.metrics().Counter("track.group_handled") - groups_before, 1u);
+  ASSERT_NE(gateway->prefix_store().TryBucket(prefix), nullptr);
+
+  const std::uint64_t pushes_before =
+      system.metrics().ForType("track.replica").count;
+  system.CrashNode(gateway_index);
+  system.Run();
+  EXPECT_EQ(system.metrics().ForType("track.replica").count, pushes_before);
+  for (std::size_t i = 0; i < system.NodeCount(); ++i) {
+    for (const auto& object : objects) {
+      EXPECT_EQ(system.Tracker(i).replica_store().Find(object), nullptr);
+    }
+  }
 }
 
 }  // namespace
