@@ -19,6 +19,10 @@ fails (exit 1) when the run regressed past the thresholds:
     all: the workload is fixed-seed and deterministic, so behaviour drift
     shows next to speed drift instead of hiding behind it
 
+The profiler's A/B self-overhead is printed for both documents as an
+informational row, never gated; an A/B that cannot resolve the cost (a
+negative fraction, or self_overhead_resolved false) prints as UNRESOLVED.
+
 All comparisons only run when the two documents ran the same workload
 config (nodes/objects/queries/seed/replicate) — the sanitizer CI leg runs a
 smaller scenario than the committed full-scale baseline, and comparing
@@ -154,6 +158,31 @@ def recorder_check(current, args):
     return failures
 
 
+def profiler_overhead_row(doc):
+    """The profiler's A/B self-overhead as one report line, or None when
+    the document ran without the profiler. Informational, never a pass or
+    a failure: an A/B that could not resolve the cost (negative fraction,
+    or perf_smoke's self_overhead_resolved false because the arms' leg
+    walls overlap) prints as UNRESOLVED instead of reading like a
+    measurement. Documents from before the field existed are judged on
+    the fraction's sign alone."""
+    profile = doc.get("profile") or {}
+    if not profile.get("enabled"):
+        return None
+    frac = profile.get("self_overhead_fraction")
+    if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+        return "profiler self-overhead UNRESOLVED (no A/B figure)"
+    resolved = profile.get("self_overhead_resolved")
+    if not isinstance(resolved, bool):
+        resolved = True  # Older document: only the sign below can tell.
+    if resolved and frac >= 0.0:
+        return (f"profiler self-overhead {frac * 100.0:.1f}% "
+                "(A/B resolved; informational)")
+    return (f"profiler self-overhead UNRESOLVED (A/B fraction {frac:+.4f}: "
+            "the arms' leg walls overlap or the profiled arm ran faster, "
+            "so this is noise, not a cost)")
+
+
 def shards_check(current, args):
     """Absolute checks on the current document's sharded-kernel block (no
     baseline needed; fire even when the relative comparisons degrade). With
@@ -204,6 +233,10 @@ def run_gate(baseline, current, args):
     failures = []
     failures += recorder_check(current, args)
     failures += shards_check(current, args)
+    for label, doc in (("baseline", baseline), ("current", current)):
+        row = profiler_overhead_row(doc)
+        if row is not None:
+            print(f"perf_gate: {label} {row}")
 
     if not same_workload(baseline, current):
         print("perf_gate: workload config differs from baseline — "
@@ -525,6 +558,38 @@ def self_test(args):
         print("perf_gate self-test: sub-floor efficiency on a 1-core host "
               "failed the gate instead of degrading to the advisory",
               file=sys.stderr)
+        return 1
+
+    # An unresolved profiler A/B prints as UNRESOLVED — never as a
+    # measured overhead — and is informational, so it cannot fail the gate;
+    # documents without the self_overhead_resolved field (older baselines)
+    # are still read, by the fraction's sign.
+    negative = copy.deepcopy(clean)
+    negative["profile"]["self_overhead_fraction"] = -0.144
+    negative["profile"]["self_overhead_resolved"] = False
+    legacy = copy.deepcopy(clean)
+    legacy["profile"]["self_overhead_fraction"] = -0.144
+    overlapping = copy.deepcopy(clean)
+    overlapping["profile"]["self_overhead_fraction"] = 0.02
+    overlapping["profile"]["self_overhead_resolved"] = False
+    for name, doc in (("negative fraction", negative),
+                      ("negative fraction without the field", legacy),
+                      ("overlapping arms", overlapping)):
+        row = profiler_overhead_row(doc) or ""
+        if "UNRESOLVED" not in row:
+            print(f"perf_gate self-test: {name} did not print as "
+                  f"UNRESOLVED: {row!r}", file=sys.stderr)
+            return 1
+        if run_gate(baseline, doc, args):
+            print(f"perf_gate self-test: {name} failed the gate (the row "
+                  "is informational)", file=sys.stderr)
+            return 1
+    measured = copy.deepcopy(clean)
+    measured["profile"]["self_overhead_fraction"] = 0.03
+    measured["profile"]["self_overhead_resolved"] = True
+    if "UNRESOLVED" in (profiler_overhead_row(measured) or "UNRESOLVED"):
+        print("perf_gate self-test: a resolved 3% overhead printed as "
+              "UNRESOLVED", file=sys.stderr)
         return 1
 
     # Pre-sharding documents (no block at all) stay silently compatible.

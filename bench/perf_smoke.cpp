@@ -147,9 +147,14 @@ struct ProfileResult {
   /// arm's best leg is its least-contended one. (Paired-median
   /// estimators proved fragile here: contention that overlaps half the
   /// run skews every pair it touches, and per-leg walls swing far more
-  /// than the effect being measured.) Can come out slightly negative
-  /// from residual noise; reported raw.
+  /// than the effect being measured.) Can come out negative from
+  /// residual noise; reported raw, with self_overhead_resolved saying
+  /// whether it is a measurement at all.
   double self_overhead_fraction = 0.0;
+  /// False when the A/B cannot resolve the profiler's cost: the fraction
+  /// is negative, or the two arms' leg walls overlap (the spread between
+  /// legs of one arm covers the gap between the arms).
+  bool self_overhead_resolved = false;
   double measured_wall_ms = 0.0;  ///< wall_* total + final sweep, best leg.
 };
 
@@ -207,11 +212,13 @@ std::string ProfileJson(const ProfileResult& prof) {
       "\"events_per_sec_profiled\": {:.1f}, "
       "\"events_per_sec_unprofiled\": {:.1f}, "
       "\"self_overhead_fraction\": {:.4f}, "
+      "\"self_overhead_resolved\": {}, "
       "\"attributed_ms\": {:.3f}, \"measured_wall_ms\": {:.3f}, "
       "\"coverage_fraction\": {:.4f}, \"scopes\": [",
       peertrack::obs::Profiler::CompiledIn() ? "true" : "false",
       prof.events_per_sec_profiled, prof.events_per_sec_unprofiled,
-      prof.self_overhead_fraction, prof.report.root_incl_ms,
+      prof.self_overhead_fraction,
+      prof.self_overhead_resolved ? "true" : "false", prof.report.root_incl_ms,
       prof.measured_wall_ms, CoverageFraction(prof));
   const std::size_t n = std::min(kTopScopes, prof.report.totals.size());
   std::size_t emitted = 0;
@@ -360,6 +367,9 @@ int main(int argc, char** argv) {
   PerfSmokeReport best_on;
   bool have_off = false;
   bool have_on = false;
+  // Slowest leg of each arm (the fastest is best_off / best_on), for
+  // self_overhead_resolved.
+  double off_max = 0.0, on_max = 0.0;
   const int total_legs = profile ? 2 * repeats : repeats;
   for (int leg = 0; leg < total_legs; ++leg) {
     // ABBA design: pair 0 runs (off, on), pair 1 (on, off), ... so linear
@@ -392,6 +402,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "(leg %d/%d %s: wall %.1f ms)\n", leg + 1, total_legs,
                  leg_profiled ? "profiled" : "unprofiled",
                  report.WallTotalMs());
+    double& arm_max = leg_profiled ? on_max : off_max;
+    arm_max = std::max(arm_max, report.WallTotalMs());
     if (leg_profiled) {
       if (!have_on || report.WallTotalMs() < best_on.WallTotalMs()) {
         prof.report = std::move(snapshot);
@@ -419,6 +431,10 @@ int main(int argc, char** argv) {
     if (have_off && have_on && best_on.WallTotalMs() > 0.0) {
       prof.self_overhead_fraction =
           1.0 - best_off.WallTotalMs() / best_on.WallTotalMs();
+      const bool arms_overlap = off_max >= best_on.WallTotalMs() &&
+                                on_max >= best_off.WallTotalMs();
+      prof.self_overhead_resolved =
+          prof.self_overhead_fraction >= 0.0 && !arms_overlap;
     }
     // Root scopes cover the three timed phases plus the root-level final
     // invariant sweep, so coverage is measured against that same span.

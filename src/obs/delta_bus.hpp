@@ -22,9 +22,12 @@
 // delta itself to the calling thread's lane buffer (obs/lane.hpp: lane 0
 // un-sharded and on the coordinator, the shard id inside a parallel
 // window) — no indirect call, no hashing, no shared vector between shard
-// threads. The consumer walks every lane in one batch per scan, while the
-// workers are parked. Lanes are not merged in time order, and need not
-// be: the monitor's mark operations commute (MarkAll dominates, Defer
+// threads, plus one OR into the lane's staged-kinds mask. The consumer
+// walks the lanes once per scan, while the workers are parked: the
+// monitor's tracking drain walks them once per key partition, each
+// partition on its own parked shard thread applying only its own keys'
+// deltas, and a consumer of rare kinds skips lanes whose mask holds none
+// of them. Lanes are not merged in time order, and need not be: the monitor's mark operations commute (MarkAll dominates, Defer
 // min-merges, Mark is idempotent), and its one order-sensitive structure,
 // the index site mirror, is a superset hint pruned against live state.
 //
@@ -172,7 +175,18 @@ class StateDeltaBus {
               delta.kind <= DeltaKind::kObjectTruth,
           delta.when);
     }
-    if (staging_) lanes_[CurrentLane()].staged.push_back(delta);
+    if (staging_) {
+      Lane& lane = lanes_[CurrentLane()];
+      lane.staged.push_back(delta);
+      lane.kinds |= KindBit(delta.kind);
+    }
+  }
+
+  /// Bit of `kind` in a StagedKinds() mask.
+  static constexpr std::uint32_t KindBit(DeltaKind kind) noexcept {
+    static_assert(static_cast<unsigned>(DeltaKind::kHandoffFinished) < 32,
+                  "StagedKinds() masks need one bit per kind");
+    return std::uint32_t{1} << static_cast<unsigned>(kind);
   }
 
   /// Route every published delta into `recorder` as a RecEvent mirror.
@@ -229,16 +243,26 @@ class StateDeltaBus {
   const std::vector<StateDelta>& Staged(std::size_t lane) const noexcept {
     return lanes_[lane].staged;
   }
+  /// KindBit mask of every kind staged on `lane` since the last clear, so a
+  /// consumer of a few rare kinds skips lanes that hold none of them
+  /// instead of walking their whole backlog.
+  std::uint32_t StagedKinds(std::size_t lane) const noexcept {
+    return lanes_[lane].kinds;
+  }
 
   /// Reset the staged backlog (capacity retained).
   void ClearStaged() {
-    for (Lane& lane : lanes_) lane.staged.clear();
+    for (Lane& lane : lanes_) {
+      lane.staged.clear();
+      lane.kinds = 0;
+    }
   }
 
  private:
   /// Cache-line aligned: shard threads grow neighbouring lanes at once.
   struct alignas(64) Lane {
     std::vector<StateDelta> staged;
+    std::uint32_t kinds = 0;  ///< KindBit mask of `staged`.
   };
 
   std::size_t active_ = 0;

@@ -45,8 +45,33 @@ bool InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
   return true;
 }
 
-void InvariantMonitor::AddDrainHandler(DrainHandler handler) {
-  drain_handlers_.push_back(std::move(handler));
+void CheckContext::SortFindings() {
+  std::sort(findings_.begin(), findings_.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.subject != b.subject) return a.subject < b.subject;
+              if (a.actor != b.actor) return a.actor < b.actor;
+              if (a.detail != b.detail) return a.detail < b.detail;
+              if (a.has_object != b.has_object) return a.has_object;
+              return a.object < b.object;
+            });
+}
+
+void InvariantMonitor::AddScanPhase(ScanPhase phase) {
+  phases_.push_back(std::move(phase));
+}
+
+void InvariantMonitor::SetFanOut(std::uint32_t partitions, FanOut run) {
+  partitions_ = std::max<std::uint32_t>(partitions, 1);
+  fan_out_ = std::move(run);
+}
+
+void InvariantMonitor::RunPartitioned(
+    const std::function<void(std::uint32_t)>& fn) const {
+  if (fan_out_) {
+    fan_out_(fn);
+    return;
+  }
+  for (std::uint32_t p = 0; p < partitions_; ++p) fn(p);
 }
 
 void InvariantMonitor::AddScanEpilogue(std::function<void(double)> epilogue) {
@@ -78,21 +103,23 @@ void InvariantMonitor::RunOnce(bool force_full_sweep) {
   PROF_SCOPE("invariant", "scan");
   const auto wall_start = std::chrono::steady_clock::now();
   const double now = simulator_.Now();
-  if (bus_ != nullptr && bus_->StagedCount() > 0) {
-    // Route the staged mutation backlog into the installers' mark sets in
-    // one batch, then clear it (with no handler installed too, so the
-    // backlog cannot grow without bound). Inside wall_start on purpose:
-    // draining is monitor overhead and must count against
-    // overhead_fraction.
-    PROF_SCOPE("invariant", "stage_drain");
-    deltas_routed_ += bus_->StagedCount();
-    for (const DrainHandler& handler : drain_handlers_) handler(*bus_);
-    bus_->ClearStaged();
-  }
   const bool incremental = bus_ != nullptr;
   const bool full_pass = !incremental || force_full_sweep ||
                          scans_ % full_sweep_every_n_ == 0;
   if (full_pass) ++full_sweeps_;
+  // The phases route the staged mutation backlog into the installers' mark
+  // sets in one batch and run the key-partitioned audit passes; the backlog
+  // is cleared afterwards (with no phase installed too, so it cannot grow
+  // without bound). Inside wall_start on purpose: draining is monitor
+  // overhead and must count against overhead_fraction.
+  const StateDeltaBus* backlog =
+      bus_ != nullptr && bus_->StagedCount() > 0 ? bus_ : nullptr;
+  if (backlog != nullptr) deltas_routed_ += backlog->StagedCount();
+  {
+    const CheckContext scan(now, full_pass, incremental);
+    for (const ScanPhase& phase : phases_) phase(backlog, scan);
+  }
+  if (backlog != nullptr) bus_->ClearStaged();
   for (auto& check_ptr : checks_) {
     Check& check = *check_ptr;
     CheckContext context(now, full_pass, incremental);
@@ -107,6 +134,7 @@ void InvariantMonitor::RunOnce(bool force_full_sweep) {
     check.wall_gauge.Set(check.wall_ms);
     check.cross_check_misses += context.CrossCheckMisses();
     cross_check_misses_ += context.CrossCheckMisses();
+    context.SortFindings();
     ++check.scans;
     if (context.findings().empty()) {
       check.pass.Add();
@@ -382,14 +410,14 @@ constexpr unsigned kNoSub = ~0u;
 /// once per check.
 ///
 /// Reporting parity with per-check DirtyScopes is preserved exactly:
-/// findings and cross-check misses buffer per sub during the pass, and
-/// each registered check's body calls Run(ctx, ..., its_sub) — the first
-/// sibling of a scan triggers the pass, every sibling then drains its own
-/// buffer into its own CheckContext, so ledger reconciliation, pass/fail
-/// counters, and per-check summaries are indistinguishable from unfused
-/// execution. (Per-check wall_ms attributes the whole fused pass to the
-/// first enabled sibling; the profiler scope passed to the constructor
-/// carries the honest shared cost.)
+/// findings and cross-check misses buffer per sub during the pass, which
+/// the installer's scan phase runs once per scan (RunPass, on the key
+/// partition's own thread); each registered check's body then drains its
+/// sub's buffer into its own CheckContext (Emit), so ledger
+/// reconciliation, pass/fail counters, and per-check summaries are
+/// indistinguishable from unfused execution. (Per-check wall_ms covers
+/// only the emit; the profiler scope passed to the constructor carries
+/// the pass's cost.)
 ///
 /// Key-set parity per sub on a tick: dirty and deferred-due keys judge
 /// every sub (identical to each DirtyScope consuming the same shared
@@ -404,9 +432,13 @@ constexpr unsigned kNoSub = ~0u;
 template <typename Key, typename Hash = std::hash<Key>>
 class FusedScope {
  public:
+  /// `partition` only labels the PEERTRACK_SCAN_DIAG lines.
   FusedScope(std::shared_ptr<MarkSet<Key, Hash>> marks, double grace,
-             ProfScopeId prof_scope)
-      : marks_(std::move(marks)), grace_(grace), prof_scope_(prof_scope) {}
+             ProfScopeId prof_scope, std::uint32_t partition)
+      : marks_(std::move(marks)),
+        grace_(grace),
+        prof_scope_(prof_scope),
+        partition_(partition) {}
 
   /// Optional locality pass over the due-key batch before judging. Audits
   /// are per-key independent and the ledger reconciles per subject, so any
@@ -457,27 +489,58 @@ class FusedScope {
     if (verdict >= 0.0) subs_[sub].next_watch.TryEmplace(key, verdict);
   }
 
-  /// One registered check's scan body. The pass over the key set runs once
-  /// per scan (keyed on `scan_key`), whichever enabled sibling gets here
-  /// first; every sibling then emits sub `emit_sub`'s buffered findings
-  /// and misses into its own context.
+  /// The scan's one pass over the key set: every due key (every key the
+  /// enumerator yields, on a full pass) judged once, findings and misses
+  /// buffered per sub until Emit. Reads the ledger, never writes it.
   ///
   /// judge(fused, ctx, key, mask) must, for every sub bit set in `mask`,
   /// report findings via Report(sub, ...) and finish with
   /// SetVerdict(sub, key, verdict).
   template <typename Enumerate, typename Judge>
-  void Run(CheckContext& ctx, const HealthLedger& ledger,
-           std::uint64_t scan_key, const Enumerate& enumerate,
-           const Judge& judge, unsigned emit_sub) {
-    if (pass_key_ != scan_key) {
-      pass_key_ = scan_key;
-      PROF_SCOPE_ID(prof_scope_);
-      RunPass(ctx, ledger, enumerate, judge);
+  void RunPass(const CheckContext& ctx, const HealthLedger& ledger,
+               const Enumerate& enumerate, const Judge& judge) {
+    PROF_SCOPE_ID(prof_scope_);
+    static const bool diag = std::getenv("PEERTRACK_SCAN_DIAG") != nullptr;
+    const auto t0 = diag ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
+    const PassStats stats = Pass(ctx, ledger, enumerate, judge);
+    if (diag) {
+      std::fprintf(
+          stderr,
+          "[scan-diag] scope=%.*s partition=%u full=%d due=%zu watch_in=%zu "
+          "judged=%zu reins=%zu deferred=%zu ms=%.1f\n",
+          static_cast<int>(subs_[0].id.size()), subs_[0].id.data(),
+          partition_, stats.full ? 1 : 0, stats.due,
+          stats.watch_in, stats.watch_judged, stats.watch_reinserted,
+          marks_->deferred.Size(),
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
     }
-    Emit(ctx, emit_sub);
+  }
+
+  /// Drain sub `sub_index`'s buffered findings and misses into one
+  /// registered check's context.
+  void Emit(CheckContext& ctx, unsigned sub_index) {
+    Sub& sub = subs_[sub_index];
+    for (Finding& finding : sub.findings) {
+      ctx.Report(std::move(finding));
+    }
+    sub.findings.clear();
+    for (std::size_t i = 0; i < sub.misses; ++i) ctx.CrossCheckMiss();
+    sub.misses = 0;
   }
 
  private:
+  /// What one pass did, for the PEERTRACK_SCAN_DIAG line.
+  struct PassStats {
+    bool full = false;
+    std::size_t due = 0;
+    std::size_t watch_in = 0;
+    std::size_t watch_judged = 0;
+    std::size_t watch_reinserted = 0;
+  };
+
   struct Sub {
     std::string_view id;
     util::FlatHashMap<Key, double, Hash> watch;
@@ -488,14 +551,17 @@ class FusedScope {
   static constexpr unsigned kMaxSubs = 8;
 
   template <typename Enumerate, typename Judge>
-  void RunPass(CheckContext& ctx, const HealthLedger& ledger,
-               const Enumerate& enumerate, const Judge& judge) {
+  PassStats Pass(const CheckContext& ctx, const HealthLedger& ledger,
+                 const Enumerate& enumerate, const Judge& judge) {
+    PassStats stats;
     const double now = ctx.Now();
     const auto all_mask = static_cast<unsigned>((1u << subs_.size()) - 1u);
     if (ctx.FullPass() || marks_->all) {
+      stats.full = true;
       detect_ = ctx.Incremental() && ctx.FullPass() && !marks_->all;
       enumerate([&](const Key& key) {
         JudgeKey(ctx, ledger, judge, key, all_mask);
+        ++stats.due;
       });
     } else {
       detect_ = false;
@@ -514,8 +580,6 @@ class FusedScope {
         due_.push_back(key);
       }
       if (due_sorter_) due_sorter_(due_);
-      static const bool diag = std::getenv("PEERTRACK_SCAN_DIAG") != nullptr;
-      const auto t_due0 = std::chrono::steady_clock::now();
       constexpr std::size_t kAhead = 8;
       for (std::size_t i = 0; i < due_.size(); ++i) {
         if (due_prefetcher_ && i + kAhead < due_.size()) {
@@ -523,13 +587,10 @@ class FusedScope {
         }
         JudgeKey(ctx, ledger, judge, due_[i], all_mask);
       }
-      const auto t_due1 = std::chrono::steady_clock::now();
-      std::size_t watch_in = 0;
-      std::size_t watch_judged = 0;
-      std::size_t watch_reinserted = 0;
+      stats.due = due_.size();
       for (unsigned i = 0; i < subs_.size(); ++i) {
         Sub& sub = subs_[i];
-        watch_in += sub.watch.Size();
+        stats.watch_in += sub.watch.Size();
         // Materialize this sub's expired-deadline keys and run them through
         // the same sort + lookahead warmer as the due batch: watch-map
         // iteration order is hash-random, so judging inline would miss
@@ -543,12 +604,12 @@ class FusedScope {
           }
           if (deadline > now) {
             sub.next_watch.TryEmplace(key, deadline);  // Still unjudgeable.
-            ++watch_reinserted;
+            ++stats.watch_reinserted;
             continue;
           }
           due_.push_back(key);
         }
-        watch_judged += due_.size();
+        stats.watch_judged += due_.size();
         if (due_sorter_) due_sorter_(due_);
         for (std::size_t j = 0; j < due_.size(); ++j) {
           if (due_prefetcher_ && j + kAhead < due_.size()) {
@@ -557,30 +618,17 @@ class FusedScope {
           JudgeKey(ctx, ledger, judge, due_[j], 1u << i);
         }
       }
-      if (diag) {
-        const auto t_watch1 = std::chrono::steady_clock::now();
-        std::fprintf(
-            stderr,
-            "[scan-diag] scope=%.*s due=%zu due_ms=%.1f watch_in=%zu "
-            "judged=%zu reins=%zu watch_ms=%.1f deferred=%zu\n",
-            static_cast<int>(subs_[0].id.size()), subs_[0].id.data(),
-            due_.size(),
-            std::chrono::duration<double, std::milli>(t_due1 - t_due0).count(),
-            watch_in, watch_judged, watch_reinserted,
-            std::chrono::duration<double, std::milli>(t_watch1 - t_due1)
-                .count(),
-            marks_->deferred.Size());
-      }
     }
     for (Sub& sub : subs_) {
       sub.watch.Swap(sub.next_watch);
       sub.next_watch.Clear();
     }
     // marks_ is retired by the installer's epilogue once every sibling ran.
+    return stats;
   }
 
   template <typename Judge>
-  void JudgeKey(CheckContext& ctx, const HealthLedger& ledger,
+  void JudgeKey(const CheckContext& ctx, const HealthLedger& ledger,
                 const Judge& judge, const Key& key, unsigned mask) {
     if (!detect_) {
       judge(*this, ctx, key, mask);
@@ -608,21 +656,11 @@ class FusedScope {
     }
   }
 
-  void Emit(CheckContext& ctx, unsigned sub_index) {
-    Sub& sub = subs_[sub_index];
-    for (Finding& finding : sub.findings) {
-      ctx.Report(std::move(finding));
-    }
-    sub.findings.clear();
-    for (std::size_t i = 0; i < sub.misses; ++i) ctx.CrossCheckMiss();
-    sub.misses = 0;
-  }
-
   std::shared_ptr<MarkSet<Key, Hash>> marks_;
   double grace_ = 0.0;
   ProfScopeId prof_scope_ = kInvalidProfScope;
+  std::uint32_t partition_ = 0;
   std::vector<Sub> subs_;
-  std::uint64_t pass_key_ = ~0ull;
   bool detect_ = false;
   std::function<void(std::vector<Key>&)> due_sorter_;
   std::function<void(const Key&)> due_prefetcher_;
@@ -712,11 +750,21 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
   // Membership changes move the ground-truth ring every check compares
   // against, so they dirty every node; pointer/finger writes dirty only the
   // writer. MarkAll dominates and Mark() is a no-op afterwards, so the
-  // first membership delta ends the walk.
-  monitor.AddDrainHandler([neighbor_marks,
-                           finger_marks](const StateDeltaBus& bus) {
-    for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
-      for (const StateDelta& d : bus.Staged(lane)) {
+  // first membership delta ends the walk. The ring kinds are rare next to
+  // the tracking traffic, so lanes whose staged-kinds mask holds none of
+  // them are skipped unread.
+  constexpr std::uint32_t kRingKinds =
+      StateDeltaBus::KindBit(DeltaKind::kMembership) |
+      StateDeltaBus::KindBit(DeltaKind::kHandoffFinished) |
+      StateDeltaBus::KindBit(DeltaKind::kRingNeighbors) |
+      StateDeltaBus::KindBit(DeltaKind::kRingFinger);
+  monitor.AddScanPhase([neighbor_marks, finger_marks](
+                           const StateDeltaBus* backlog, const CheckContext&) {
+    if (backlog == nullptr) return;
+    PROF_SCOPE("invariant", "ring_drain");
+    for (std::size_t lane = 0; lane < backlog->Lanes(); ++lane) {
+      if ((backlog->StagedKinds(lane) & kRingKinds) == 0) continue;
+      for (const StateDelta& d : backlog->Staged(lane)) {
         switch (d.kind) {
           case DeltaKind::kMembership:
           case DeltaKind::kHandoffFinished:
@@ -871,7 +919,7 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
 
 namespace {
 
-/// Where one index entry for an object lives (or lived: the drain handler
+/// Where one index entry for an object lives (or lived: the drain
 /// never removes a loc, ResolveSites prunes it), as remembered from deltas.
 /// `node` is a resolution cache, not identity — tracker objects outlive
 /// the run, so it stays valid for the loc's lifetime.
@@ -917,19 +965,35 @@ class SiteList {
   std::size_t size_;
 };
 
-/// Shared mutable state for one InstallTrackingChecks call: the site
-/// mirror the drain handler maintains, the per-scan resolve cache, and the
-/// replication successor precompute. The mirror is a *hint*, not
-/// authority — audits resolve every location against live store state and
-/// lazily prune stale ones, so a spurious or duplicate delta at worst
-/// costs one clean re-audit. Full passes rebuild it from scratch, which is
-/// what makes the cross-check sweep honest: a mutation the drain handler
-/// never heard about is still found.
+/// Which key partition owns a subject (DESIGN.md §8.2). Objects, and the
+/// visit records of an object, split by key range: the top limb of a
+/// SHA-1 key is uniform, and a contiguous range keeps whole prefix buckets
+/// in one partition. Actor-only subjects split by actor id. With one
+/// partition everything is owned.
+struct KeyPartition {
+  std::uint32_t index = 0;
+  std::uint32_t count = 1;
+
+  bool Owns(const hash::UInt160& object) const noexcept {
+    return ((static_cast<std::uint64_t>(object.words()[0]) * count) >> 32) ==
+           index;
+  }
+  bool OwnsActor(std::uint32_t actor) const noexcept {
+    return actor % count == index;
+  }
+};
+
+/// One key partition's object-keyed state: the site mirror its drain
+/// maintains, the per-scan resolve cache, and the full-pass hints. The
+/// mirror is a *hint*, not authority — audits resolve every location
+/// against live store state and lazily prune stale ones, so a spurious or
+/// duplicate delta at worst costs one clean re-audit. Full passes rebuild
+/// it from scratch, which is what makes the cross-check sweep honest: a
+/// mutation the drain never heard about is still found.
 struct TrackState {
   std::uint64_t mirror_key = ~0ull;
   util::FlatHashMap<hash::UInt160, std::vector<SiteLoc>, hash::UInt160Hasher>
       sites;
-  bool departed_any = false;  ///< Sticky: any graceful leave completed.
 
   // Per-scan cache of resolved sites, shared by the staleness / triangle /
   // replication audits of one pass (they audit overlapping object sets).
@@ -947,14 +1011,16 @@ struct TrackState {
   // naming, so it parks a pointer here immediately before invoking the
   // audit, which then skips the by-key re-find. Never set on incremental
   // ticks (audits fall back to the live lookup).
-  tracking::TrackerNode* hint_tracker = nullptr;
   const moods::Visit* hint_visit = nullptr;
   const std::vector<moods::OracleVisit>* hint_trace = nullptr;
+};
 
-  // Replication precompute: ring position and first-r true successors of
-  // every alive tracker, rebuilt once per scan pass that needs it.
-  std::uint64_t repl_key = ~0ull;
-  std::size_t repl_r = 0;
+/// Replication precompute: ring position and first-r true successors of
+/// every alive tracker. Built serially once per scan, before the
+/// partitions fan out, and only read by them.
+struct ReplicaRing {
+  std::uint64_t key = ~0ull;
+  std::size_t r = 0;
   util::FlatHashMap<const tracking::TrackerNode*, std::size_t> position;
   std::vector<std::vector<tracking::TrackerNode*>> successors;
 };
@@ -974,9 +1040,10 @@ void SortSitesByActor(ResolvedSite* first, std::uint32_t count) noexcept {
   }
 }
 
-/// Rebuild the site mirror from a full sweep over live state (full passes
-/// only; incremental ticks rely on the drain handler keeping it fresh).
-void EnsureMirrors(TrackState& st, std::uint64_t key,
+/// Rebuild the site mirror of the objects `part` owns from a full sweep
+/// over live state (full passes only; incremental ticks rely on the drain
+/// keeping it fresh).
+void EnsureMirrors(TrackState& st, std::uint64_t key, const KeyPartition& part,
                    tracking::TrackingSystem& sys) {
   if (st.mirror_key == key) return;
   PROF_SCOPE("invariant", "mirror_rebuild");
@@ -987,6 +1054,7 @@ void EnsureMirrors(TrackState& st, std::uint64_t key,
     if (!tracker.chord().Alive()) continue;
     const std::uint32_t actor = tracker.Self().actor;
     for (const auto& [object, entry] : tracker.individual_index().Entries()) {
+      if (!part.Owns(object)) continue;
       st.sites[object].push_back(SiteLoc{actor, true, {}, &tracker, &entry});
     }
     for (const auto& prefix : tracker.prefix_store().Prefixes()) {
@@ -994,6 +1062,7 @@ void EnsureMirrors(TrackState& st, std::uint64_t key,
           tracker.prefix_store().TryBucket(prefix);
       if (bucket == nullptr) continue;
       for (const auto& [object, entry] : bucket->Entries()) {
+        if (!part.Owns(object)) continue;
         st.sites[object].push_back(
             SiteLoc{actor, false, prefix, &tracker, &entry});
       }
@@ -1118,32 +1187,32 @@ SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
 }
 
 /// Ring position and first min(R, n-1) true successors of every alive
-/// tracker, shared by all gateway.replication audits of one pass.
-void EnsureReplication(TrackState& st, std::uint64_t key,
+/// tracker, shared by all gateway.replication audits of one scan.
+void EnsureReplication(ReplicaRing& ring, std::uint64_t key,
                        tracking::TrackingSystem& sys) {
-  if (st.repl_key == key) return;
+  if (ring.key == key) return;
   PROF_SCOPE("invariant", "replication_precompute");
-  st.repl_key = key;
-  st.repl_r = 0;
-  st.position.Clear();
-  st.successors.clear();
+  ring.key = key;
+  ring.r = 0;
+  ring.position.Clear();
+  ring.successors.clear();
   const auto sorted = SortedAliveNodes(sys.ring());
   const std::size_t n = sorted.size();
   if (n < 2) return;
   const std::size_t r =
       std::min<std::size_t>(sys.config().tracker.replication_factor, n - 1);
   if (r == 0) return;
-  st.repl_r = r;
-  st.position.Reserve(n);
-  st.successors.resize(n);
+  ring.r = r;
+  ring.position.Reserve(n);
+  ring.successors.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (tracking::TrackerNode* tracker =
             sys.TrackerByActor(sorted[i]->Self().actor)) {
-      st.position.TryEmplace(tracker, i);
+      ring.position.TryEmplace(tracker, i);
     }
-    st.successors[i].reserve(r);
+    ring.successors[i].reserve(r);
     for (std::size_t j = 1; j <= r; ++j) {
-      st.successors[i].push_back(
+      ring.successors[i].push_back(
           sys.TrackerByActor(sorted[(i + j) % n]->Self().actor));
     }
   }
@@ -1214,6 +1283,184 @@ void AuditHandoff(tracking::TrackingSystem& sys, CheckContext& ctx) {
   }
 }
 
+/// One key partition of the tracking checks: its own mark sets, site
+/// mirror and fused scopes, touched only by the partition's own thread
+/// during the scan's fan-out.
+struct TrackPart {
+  KeyPartition keys;
+  TrackState state;
+  std::shared_ptr<VisitMarks> visit_marks = std::make_shared<VisitMarks>();
+  std::shared_ptr<ObjectMarks> object_marks = std::make_shared<ObjectMarks>();
+  /// This partition's share of prefix.shape's marks, folded into
+  /// TrackShared::shape_marks by the (serial) check.
+  ActorMarks shape_marks;
+  std::unique_ptr<VisitFused> visits;    ///< Null unless check_iop.
+  std::unique_ptr<ObjectFused> objects;  ///< Null with no object check.
+};
+
+/// State one InstallTrackingChecks call shares across its partitions.
+struct TrackShared {
+  std::vector<std::unique_ptr<TrackPart>> parts;
+  ReplicaRing repl;
+  std::shared_ptr<ActorMarks> shape_marks = std::make_shared<ActorMarks>();
+  /// Sticky: any graceful leave completed. Written by partition 0's drain
+  /// (every partition sees the global kinds; one writer is enough) and by
+  /// the serial handoff.complete check.
+  bool departed_any = false;
+};
+
+/// Route the staged backlog into one partition's mark sets and site
+/// mirror, in one pass over the lanes. Each key space has ONE shared set
+/// per partition, not one per check. Every partition walks every lane in
+/// lane order but applies only the deltas whose key it owns — object and
+/// visit kinds by object, actor-only kinds by actor — plus every global
+/// (MarkAll) kind, so its mark sets see exactly the subsequence of deltas
+/// a single partition would route to those keys: the memos, the Defer
+/// min-merge and Retire behave the same. Two properties make the pass
+/// cheap: (a) once a key space is flat (MarkAll) its Mark/Defer calls
+/// return on their first branch — only the mirror upserts keep working;
+/// (b) a write group publishes its per-prefix upserts back to back, so
+/// same-object records are adjacent and the MarkSet memos swallow the
+/// duplicate Defer probes.
+///
+/// The mirror only grows here: an erase marks its object for audit and
+/// leaves the location to ResolveSites, which prunes locations that no
+/// longer hold an entry. Lanes are walked in lane order, not time order —
+/// a control-phase write (a graceful leave's heir adoption) lands in lane
+/// 0 while the same actor's window writes land in its shard's lane — so
+/// applying an erase here could drop a location a later upsert restored.
+void DrainTracking(TrackPart& part, TrackShared& shared,
+                   const StateDeltaBus& bus) {
+  PROF_SCOPE("invariant", "stage_drain");
+  const KeyPartition keys = part.keys;
+  TrackState& st = part.state;
+  VisitMarks& visit_marks = *part.visit_marks;
+  ObjectMarks& object_marks = *part.object_marks;
+  ActorMarks& shape_marks = part.shape_marks;
+  // Each record prefetches the map lines the record kAhead further on
+  // will probe: the lanes stream sequentially, so the (random) mark or
+  // mirror probe for record i+k warms while records i..i+k-1 do real
+  // work.
+  constexpr std::size_t kAhead = 8;
+  // One-record site-list memo: a write group publishes its per-prefix
+  // upserts back to back, so ~3/4 of the mirror probes hit the object of
+  // the record just processed. Only operator[] inserts into the mirror,
+  // and every probe refreshes the memo, so the cached pointer never
+  // outlives a rehash.
+  hash::UInt160 memo_object{};
+  std::vector<SiteLoc>* memo_locs = nullptr;
+  for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+    const std::vector<StateDelta>& staged = bus.Staged(lane);
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      if (i + kAhead < staged.size()) {
+        const StateDelta& n = staged[i + kAhead];
+        switch (n.kind) {
+          case DeltaKind::kIndexUpsert:
+            if (!keys.Owns(n.object)) break;
+            st.sites.Prefetch(n.object);
+            if (!object_marks.all) object_marks.deferred.Prefetch(n.object);
+            break;
+          case DeltaKind::kIndexErase:
+          case DeltaKind::kReplicaUpsert:
+          case DeltaKind::kReplicaErase:
+          case DeltaKind::kObjectTruth:
+            if (!object_marks.all && keys.Owns(n.object)) {
+              object_marks.deferred.Prefetch(n.object);
+            }
+            break;
+          case DeltaKind::kIopVisit:
+            if (!visit_marks.all && keys.Owns(n.object)) {
+              visit_marks.deferred.Prefetch(VisitKey{n.object, n.actor, n.when});
+            }
+            break;
+          default:
+            break;
+        }
+      }
+      const StateDelta& d = staged[i];
+      switch (d.kind) {
+        // The alive set is part of every tracking check's ground truth
+        // (site sweeps skip dead nodes, replication re-derives
+        // successors), so membership movement re-judges everything. Rare
+        // by construction: only churn events publish these.
+        case DeltaKind::kHandoffFinished:
+          if (keys.index == 0) shared.departed_any = true;
+          [[fallthrough]];
+        case DeltaKind::kMembership:
+          visit_marks.MarkAll();
+          object_marks.MarkAll();
+          shape_marks.MarkAll();
+          break;
+        case DeltaKind::kLpChange:
+          shape_marks.MarkAll();
+          break;
+        // Graceful-leave extraction moves visit lists wholesale; the
+        // adopter republishes per record, but the extracted records must
+        // be re-judged away too.
+        case DeltaKind::kIopDropped:
+          visit_marks.MarkAll();
+          break;
+        case DeltaKind::kIndexUpsert: {
+          if (!keys.Owns(d.object)) break;
+          std::vector<SiteLoc>* locs =
+              (memo_locs != nullptr && d.object == memo_object)
+                  ? memo_locs
+                  : &st.sites[d.object];
+          AddUniqueLoc(*locs, SiteLoc{d.actor, d.individual, d.prefix()});
+          memo_object = d.object;
+          memo_locs = locs;
+          if (d.when >= 0.0) {
+            object_marks.Defer(d.object, d.when);
+          } else {
+            object_marks.Mark(d.object);
+          }
+          shape_marks.Mark(d.actor);
+          break;
+        }
+        case DeltaKind::kIndexErase:
+          if (!keys.Owns(d.object)) break;
+          object_marks.Mark(d.object);
+          shape_marks.Mark(d.actor);
+          break;
+        // Replica upserts and truth moves carry the arrival that starts
+        // the settle clock: every object-grain check's own pending logic
+        // would return exactly `when + staleness` for this state, so park
+        // the audit there.
+        case DeltaKind::kReplicaUpsert:
+        case DeltaKind::kObjectTruth:
+          if (!keys.Owns(d.object)) break;
+          if (d.when >= 0.0) {
+            object_marks.Defer(d.object, d.when);
+          } else {
+            object_marks.Mark(d.object);
+          }
+          break;
+        case DeltaKind::kReplicaErase:
+          if (keys.Owns(d.object)) object_marks.Mark(d.object);
+          break;
+        // A visit write is judgeable once its gate settles (the record's
+        // own arrival, or the next hop's arrival for a departure write);
+        // a coarse publish with no arrival re-judges every record, in
+        // every partition.
+        case DeltaKind::kIopVisit:
+          if (d.when < 0.0) {
+            visit_marks.MarkAll();
+          } else if (keys.Owns(d.object)) {
+            visit_marks.Defer(VisitKey{d.object, d.actor, d.when},
+                              d.gate >= 0.0 ? d.gate : d.when);
+          }
+          break;
+        case DeltaKind::kPrefixShape:
+          if (keys.OwnsActor(d.actor)) shape_marks.Mark(d.actor);
+          break;
+        case DeltaKind::kRingNeighbors:
+        case DeltaKind::kRingFinger:
+          break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void InstallTrackingChecks(InvariantMonitor& monitor,
@@ -1227,11 +1474,20 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   const double staleness = options.staleness_ms > 0.0
                                ? options.staleness_ms
                                : system.config().tracker.window.tmax_ms + 2000.0;
-  auto state = std::make_shared<TrackState>();
+  // The fan-out that runs the key-partitioned phases: the system's shard
+  // engine unless the caller set one (DESIGN.md §8.2). At S=1 it is one
+  // partition, run inline.
+  if (!monitor.HasFanOut()) {
+    sim::ShardEngine* engine = system.engine();
+    monitor.SetFanOut(
+        static_cast<std::uint32_t>(engine->ShardCount()),
+        [engine](const std::function<void(std::uint32_t)>& fn) {
+          engine->RunOnShards(fn);
+        });
+  }
+  const std::uint32_t partitions = monitor.Partitions();
+  auto shared = std::make_shared<TrackShared>();
   auto view = std::make_shared<RingView>();
-  auto visit_marks = std::make_shared<VisitMarks>();
-  auto object_marks = std::make_shared<ObjectMarks>();
-  auto shape_marks = std::make_shared<ActorMarks>();
   // Every tracking check shares the same settle window, so a deferred
   // delta's first audit lands exactly where the check's own pending logic
   // would park it: gate + staleness.
@@ -1239,37 +1495,41 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   // The visit-grain pair and the object-grain trio each run fused: one
   // pass per scan over the shared key set, one fetch of the expensive
   // shared lookups (the visit record; the oracle trace + resolved sites),
-  // all enabled sub-audits judged in place. See FusedScope.
-  auto fused_visits =
-      options.check_iop
-          ? std::make_shared<VisitFused>(
-                visit_marks, staleness,
-                Profiler::Intern("invariant", "visit_fused"))
-          : nullptr;
+  // all enabled sub-audits judged in place. See FusedScope. Each key
+  // partition has its own pair of fused scopes over its own mark sets;
+  // sub indices are the same in every partition.
+  const bool fuse_objects = options.check_gateway || options.check_triangle ||
+                            options.check_replication;
   unsigned sub_link = kNoSub;
   unsigned sub_acyclic = kNoSub;
-  if (options.check_iop) {
-    sub_link = fused_visits->AddSub("iop.link");
-    sub_acyclic = fused_visits->AddSub("iop.acyclic");
-  }
-  auto fused_objects =
-      options.check_gateway || options.check_triangle ||
-              options.check_replication
-          ? std::make_shared<ObjectFused>(
-                object_marks, staleness,
-                Profiler::Intern("invariant", "object_fused"))
-          : nullptr;
   unsigned sub_stale = kNoSub;
   unsigned sub_triangle = kNoSub;
   unsigned sub_repl = kNoSub;
-  if (options.check_gateway) {
-    sub_stale = fused_objects->AddSub("gateway.staleness");
-  }
-  if (options.check_triangle) {
-    sub_triangle = fused_objects->AddSub("triangle.coverage");
-  }
-  if (options.check_replication) {
-    sub_repl = fused_objects->AddSub("gateway.replication");
+  const ProfScopeId visit_scope = Profiler::Intern("invariant", "visit_fused");
+  const ProfScopeId object_scope = Profiler::Intern("invariant", "object_fused");
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    auto part = std::make_unique<TrackPart>();
+    part->keys = KeyPartition{p, partitions};
+    if (options.check_iop) {
+      part->visits = std::make_unique<VisitFused>(part->visit_marks, staleness,
+                                                  visit_scope, p);
+      sub_link = part->visits->AddSub("iop.link");
+      sub_acyclic = part->visits->AddSub("iop.acyclic");
+    }
+    if (fuse_objects) {
+      part->objects = std::make_unique<ObjectFused>(
+          part->object_marks, staleness, object_scope, p);
+      if (options.check_gateway) {
+        sub_stale = part->objects->AddSub("gateway.staleness");
+      }
+      if (options.check_triangle) {
+        sub_triangle = part->objects->AddSub("triangle.coverage");
+      }
+      if (options.check_replication) {
+        sub_repl = part->objects->AddSub("gateway.replication");
+      }
+    }
+    shared->parts.push_back(std::move(part));
   }
   // Locality orders for the incremental due batches (stable counting
   // sorts, so the order stays deterministic). Objects sort by key range:
@@ -1277,342 +1537,215 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   // same gateway's index/replica stores — small per-node maps that then
   // stay cache-warm across the batch instead of one random miss per key.
   // Visits sort by holder actor for the same reason (the record fetch is
-  // a probe into the holder's visit store).
-  if (fused_objects != nullptr) {
-    auto scratch = std::make_shared<std::vector<hash::UInt160>>();
-    auto counts = std::make_shared<std::vector<std::uint32_t>>();
-    fused_objects->SetDueSorter(
-        [scratch, counts](std::vector<hash::UInt160>& keys) {
-          if (keys.size() < 2) return;
-          auto& c = *counts;
-          c.assign(std::size_t{1} << 16, 0);
-          for (const hash::UInt160& k : keys) ++c[k.words()[0] >> 16];
-          std::uint32_t offset = 0;
-          for (std::uint32_t& slot : c) {
-            const std::uint32_t n = slot;
-            slot = offset;
-            offset += n;
-          }
-          auto& out = *scratch;
-          out.resize(keys.size());
-          for (const hash::UInt160& k : keys) out[c[k.words()[0] >> 16]++] = k;
-          keys.swap(out);
-        });
-    // Three-stage cache warmer for the judge loop. Far stage (the key the
-    // scope hands us, kAhead ahead of the judge): the top-level table
-    // slots. Mid stage (the key from four calls back, so still four keys
-    // ahead of the judge): follow the now-warm slots one level down to the
-    // heap buffers the judge actually walks — the trace tail and the site
-    // list. Near stage (six calls back, ~two keys ahead): read the
-    // now-warm first site and warm its successors' replica tables, the
-    // replication sub's last serial misses. Without the later stages the
-    // dependent lines miss serially no matter how early the slot prefetch
-    // landed.
-    fused_objects->SetDuePrefetcher(
-        [sys, state, mon, mid_ring = std::array<hash::UInt160, 4>{},
-         near_ring = std::array<hash::UInt160, 2>{}, mid_pos = std::size_t{0},
-         near_pos = std::size_t{0}](const hash::UInt160& key) mutable {
-          // The near stage reads the successor precompute; refresh it here
-          // (idempotent per scan) so the first judged batch of a scan does
-          // not prefetch against the previous scan's ring — on scan 1 that
-          // stale table is empty and would disable the stage outright.
-          if (sys->config().tracker.replicate_index) {
-            EnsureReplication(*state, mon->ScansRun(), *sys);
-          }
-          sys->oracle().PrefetchTrace(key);
-          state->sites.Prefetch(key);
-          const hash::UInt160 mid = mid_ring[mid_pos];
-          if (const std::vector<moods::OracleVisit>* trips =
-                  sys->oracle().FullTrace(mid);
-              trips != nullptr && !trips->empty()) {
-            PrefetchLine(&trips->back());
-          }
-          if (const std::vector<SiteLoc>* locs = state->sites.Find(mid);
-              locs != nullptr && !locs->empty()) {
-            PrefetchLine(locs->data());
-          }
-          const hash::UInt160 near = near_ring[near_pos];
-          if (const std::vector<SiteLoc>* locs = state->sites.Find(near);
-              locs != nullptr && !locs->empty()) {
-            const SiteLoc& first = locs->front();
-            const tracking::TrackerNode* node =
-                first.node != nullptr ? first.node
-                                      : sys->TrackerByActor(first.actor);
-            if (node != nullptr) {
-              if (const std::size_t* position = state->position.Find(node)) {
-                for (const tracking::TrackerNode* succ :
-                     state->successors[*position]) {
-                  if (succ != nullptr) succ->replica_store().Prefetch(near);
+  // a probe into the holder's visit store). Sorters and warmers keep
+  // per-partition scratch, so each partition gets its own.
+  for (const auto& part_ptr : shared->parts) {
+    TrackPart* part = part_ptr.get();
+    if (part->objects != nullptr) {
+      auto scratch = std::make_shared<std::vector<hash::UInt160>>();
+      auto counts = std::make_shared<std::vector<std::uint32_t>>();
+      part->objects->SetDueSorter(
+          [scratch, counts](std::vector<hash::UInt160>& keys) {
+            if (keys.size() < 2) return;
+            auto& c = *counts;
+            c.assign(std::size_t{1} << 16, 0);
+            for (const hash::UInt160& k : keys) ++c[k.words()[0] >> 16];
+            std::uint32_t offset = 0;
+            for (std::uint32_t& slot : c) {
+              const std::uint32_t n = slot;
+              slot = offset;
+              offset += n;
+            }
+            auto& out = *scratch;
+            out.resize(keys.size());
+            for (const hash::UInt160& k : keys) out[c[k.words()[0] >> 16]++] = k;
+            keys.swap(out);
+          });
+      // Three-stage cache warmer for the judge loop. Far stage (the key the
+      // scope hands us, kAhead ahead of the judge): the top-level table
+      // slots. Mid stage (the key from four calls back, so still four keys
+      // ahead of the judge): follow the now-warm slots one level down to
+      // the heap buffers the judge actually walks — the trace tail and the
+      // site list. Near stage (six calls back, ~two keys ahead): read the
+      // now-warm first site and warm its successors' replica tables, the
+      // replication sub's last serial misses. Without the later stages the
+      // dependent lines miss serially no matter how early the slot
+      // prefetch landed. The near stage reads the successor precompute,
+      // which the scan phase built before the fan-out.
+      part->objects->SetDuePrefetcher(
+          [sys, part, ring = &shared->repl,
+           mid_ring = std::array<hash::UInt160, 4>{},
+           near_ring = std::array<hash::UInt160, 2>{}, mid_pos = std::size_t{0},
+           near_pos = std::size_t{0}](const hash::UInt160& key) mutable {
+            TrackState& st = part->state;
+            sys->oracle().PrefetchTrace(key);
+            st.sites.Prefetch(key);
+            const hash::UInt160 mid = mid_ring[mid_pos];
+            if (const std::vector<moods::OracleVisit>* trips =
+                    sys->oracle().FullTrace(mid);
+                trips != nullptr && !trips->empty()) {
+              PrefetchLine(&trips->back());
+            }
+            if (const std::vector<SiteLoc>* locs = st.sites.Find(mid);
+                locs != nullptr && !locs->empty()) {
+              PrefetchLine(locs->data());
+            }
+            const hash::UInt160 near = near_ring[near_pos];
+            if (const std::vector<SiteLoc>* locs = st.sites.Find(near);
+                locs != nullptr && !locs->empty()) {
+              const SiteLoc& first = locs->front();
+              const tracking::TrackerNode* node =
+                  first.node != nullptr ? first.node
+                                        : sys->TrackerByActor(first.actor);
+              if (node != nullptr) {
+                if (const std::size_t* position = ring->position.Find(node)) {
+                  for (const tracking::TrackerNode* succ :
+                       ring->successors[*position]) {
+                    if (succ != nullptr) succ->replica_store().Prefetch(near);
+                  }
                 }
               }
             }
-          }
-          near_ring[near_pos] = mid;
-          near_pos = (near_pos + 1) & 1;
-          mid_ring[mid_pos] = key;
-          mid_pos = (mid_pos + 1) & 3;
-        });
-  }
-  if (fused_visits != nullptr) {
-    auto scratch = std::make_shared<std::vector<VisitKey>>();
-    auto counts = std::make_shared<std::vector<std::uint32_t>>();
-    fused_visits->SetDueSorter([scratch, counts](std::vector<VisitKey>& keys) {
-      if (keys.size() < 2) return;
-      std::uint32_t max_actor = 0;
-      for (const VisitKey& k : keys) max_actor = std::max(max_actor, k.actor);
-      if (max_actor > (1u << 20)) return;  // Corrupt actor id: skip the sort.
-      auto& c = *counts;
-      c.assign(static_cast<std::size_t>(max_actor) + 1, 0);
-      for (const VisitKey& k : keys) ++c[k.actor];
-      std::uint32_t offset = 0;
-      for (std::uint32_t& slot : c) {
-        const std::uint32_t n = slot;
-        slot = offset;
-        offset += n;
-      }
-      auto& out = *scratch;
-      out.resize(keys.size());
-      for (const VisitKey& k : keys) out[c[k.actor]++] = k;
-      keys.swap(out);
-    });
-    // Three-stage cache warmer, mirroring the object scope's: the far
-    // stage warms the holder's visit-table slot, the mid stage (four calls
-    // back) follows it into the visit vector the judge binary-searches,
-    // and the near stage (six calls back, ~two keys ahead of the judge)
-    // reads the now-warm record and warms the far-end tables its to/from
-    // links make the judge probe — the dominant serial misses of the link
-    // audit. Holder resolution itself is a dense-array read, effectively
-    // free.
-    fused_visits->SetDuePrefetcher(
-        [sys, mid_ring = std::array<VisitKey, 4>{},
-         near_ring = std::array<VisitKey, 2>{}, mid_pos = std::size_t{0},
-         near_pos = std::size_t{0}](const VisitKey& key) mutable {
-          if (const tracking::TrackerNode* tracker =
-                  sys->TrackerByActor(key.actor);
-              tracker != nullptr) {
-            tracker->iop().PrefetchVisits(key.object);
-          }
-          const VisitKey mid = mid_ring[mid_pos];
-          if (tracking::TrackerNode* tracker = sys->TrackerByActor(mid.actor);
-              tracker != nullptr && tracker->chord().Alive()) {
-            if (const std::vector<moods::Visit>* visits =
-                    tracker->iop().VisitsOf(mid.object);
-                visits != nullptr && !visits->empty()) {
-              PrefetchLine(visits->data());
-              PrefetchLine(visits->data() + (visits->size() - 1));
+            near_ring[near_pos] = mid;
+            near_pos = (near_pos + 1) & 1;
+            mid_ring[mid_pos] = key;
+            mid_pos = (mid_pos + 1) & 3;
+          });
+    }
+    if (part->visits != nullptr) {
+      auto scratch = std::make_shared<std::vector<VisitKey>>();
+      auto counts = std::make_shared<std::vector<std::uint32_t>>();
+      part->visits->SetDueSorter([scratch, counts](std::vector<VisitKey>& keys) {
+        if (keys.size() < 2) return;
+        std::uint32_t max_actor = 0;
+        for (const VisitKey& k : keys) max_actor = std::max(max_actor, k.actor);
+        if (max_actor > (1u << 20)) return;  // Corrupt actor id: skip the sort.
+        auto& c = *counts;
+        c.assign(static_cast<std::size_t>(max_actor) + 1, 0);
+        for (const VisitKey& k : keys) ++c[k.actor];
+        std::uint32_t offset = 0;
+        for (std::uint32_t& slot : c) {
+          const std::uint32_t n = slot;
+          slot = offset;
+          offset += n;
+        }
+        auto& out = *scratch;
+        out.resize(keys.size());
+        for (const VisitKey& k : keys) out[c[k.actor]++] = k;
+        keys.swap(out);
+      });
+      // Three-stage cache warmer, mirroring the object scope's: the far
+      // stage warms the holder's visit-table slot, the mid stage (four calls
+      // back) follows it into the visit vector the judge binary-searches,
+      // and the near stage (six calls back, ~two keys ahead of the judge)
+      // reads the now-warm record and warms the far-end tables its to/from
+      // links make the judge probe — the dominant serial misses of the link
+      // audit. Holder resolution itself is a dense-array read, effectively
+      // free.
+      part->visits->SetDuePrefetcher(
+          [sys, mid_ring = std::array<VisitKey, 4>{},
+           near_ring = std::array<VisitKey, 2>{}, mid_pos = std::size_t{0},
+           near_pos = std::size_t{0}](const VisitKey& key) mutable {
+            if (const tracking::TrackerNode* tracker =
+                    sys->TrackerByActor(key.actor);
+                tracker != nullptr) {
+              tracker->iop().PrefetchVisits(key.object);
             }
-          }
-          const VisitKey near = near_ring[near_pos];
-          if (tracking::TrackerNode* tracker = sys->TrackerByActor(near.actor);
-              tracker != nullptr && tracker->chord().Alive()) {
-            if (const moods::Visit* visit =
-                    tracker->iop().VisitAt(near.object, near.arrived)) {
-              if (visit->to.has_value()) {
-                if (const tracking::TrackerNode* dest =
-                        sys->TrackerByActor(visit->to->actor)) {
-                  dest->iop().PrefetchVisits(near.object);
-                }
-              }
-              if (visit->from.has_value()) {
-                if (const tracking::TrackerNode* src =
-                        sys->TrackerByActor(visit->from->actor)) {
-                  src->iop().PrefetchVisits(near.object);
-                }
+            const VisitKey mid = mid_ring[mid_pos];
+            if (tracking::TrackerNode* tracker = sys->TrackerByActor(mid.actor);
+                tracker != nullptr && tracker->chord().Alive()) {
+              if (const std::vector<moods::Visit>* visits =
+                      tracker->iop().VisitsOf(mid.object);
+                  visits != nullptr && !visits->empty()) {
+                PrefetchLine(visits->data());
+                PrefetchLine(visits->data() + (visits->size() - 1));
               }
             }
-          }
-          near_ring[near_pos] = mid;
-          near_pos = (near_pos + 1) & 1;
-          mid_ring[mid_pos] = key;
-          mid_pos = (mid_pos + 1) & 3;
-        });
+            const VisitKey near = near_ring[near_pos];
+            if (tracking::TrackerNode* tracker = sys->TrackerByActor(near.actor);
+                tracker != nullptr && tracker->chord().Alive()) {
+              if (const moods::Visit* visit =
+                      tracker->iop().VisitAt(near.object, near.arrived)) {
+                if (visit->to.has_value()) {
+                  if (const tracking::TrackerNode* dest =
+                          sys->TrackerByActor(visit->to->actor)) {
+                    dest->iop().PrefetchVisits(near.object);
+                  }
+                }
+                if (visit->from.has_value()) {
+                  if (const tracking::TrackerNode* src =
+                          sys->TrackerByActor(visit->from->actor)) {
+                    src->iop().PrefetchVisits(near.object);
+                  }
+                }
+              }
+            }
+            near_ring[near_pos] = mid;
+            near_pos = (near_pos + 1) & 1;
+            mid_ring[mid_pos] = key;
+            mid_pos = (mid_pos + 1) & 3;
+          });
+    }
   }
   auto sc_shape = options.check_prefix_shape
-                      ? std::make_shared<ActorScope>(shape_marks)
+                      ? std::make_shared<ActorScope>(shared->shape_marks)
                       : nullptr;
-
-  // One drain handler for the whole installer: marks the shared dirty sets
-  // and keeps the site mirror fresh between full rebuilds, in one pass over
-  // the staged lanes. It inserts each key into ONE shared set per key
-  // space, not one per check. Two properties make this cheap: (a) once a
-  // key space is flat (MarkAll) its Mark/Defer calls return on their first
-  // branch — only the mirror upserts keep working; (b) a write group
-  // publishes its per-prefix upserts back to back, so same-object records
-  // are adjacent and the MarkSet memos swallow the duplicate Defer probes.
-  //
-  // The mirror only grows here: an erase marks its object for audit and
-  // leaves the location to ResolveSites, which prunes locations that no
-  // longer hold an entry. Lanes are walked in lane order, not time order —
-  // a control-phase write (a graceful leave's heir adoption) lands in lane
-  // 0 while the same actor's window writes land in its shard's lane — so
-  // applying an erase here could drop a location a later upsert restored.
-  monitor.AddDrainHandler([state, visit_marks, object_marks,
-                           shape_marks](const StateDeltaBus& bus) {
-    // Each record prefetches the map lines the record kAhead further on
-    // will probe: the lanes stream sequentially, so the (random) mark or
-    // mirror probe for record i+k warms while records i..i+k-1 do real
-    // work.
-    constexpr std::size_t kAhead = 8;
-    // One-record site-list memo: a write group publishes its per-prefix
-    // upserts back to back, so ~3/4 of the mirror probes hit the object of
-    // the record just processed. Only operator[] inserts into the mirror,
-    // and every probe refreshes the memo, so the cached pointer never
-    // outlives a rehash.
-    hash::UInt160 memo_object{};
-    std::vector<SiteLoc>* memo_locs = nullptr;
-    for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
-      const std::vector<StateDelta>& staged = bus.Staged(lane);
-      for (std::size_t i = 0; i < staged.size(); ++i) {
-        if (i + kAhead < staged.size()) {
-          const StateDelta& n = staged[i + kAhead];
-          switch (n.kind) {
-            case DeltaKind::kIndexUpsert:
-              state->sites.Prefetch(n.object);
-              [[fallthrough]];
-            case DeltaKind::kIndexErase:
-            case DeltaKind::kReplicaUpsert:
-            case DeltaKind::kReplicaErase:
-            case DeltaKind::kObjectTruth:
-              if (!object_marks->all) object_marks->deferred.Prefetch(n.object);
-              break;
-            case DeltaKind::kIopVisit:
-              if (!visit_marks->all) {
-                visit_marks->deferred.Prefetch(
-                    VisitKey{n.object, n.actor, n.when});
-              }
-              break;
-            default:
-              break;
-          }
-        }
-        const StateDelta& d = staged[i];
-        switch (d.kind) {
-          // The alive set is part of every tracking check's ground truth
-          // (site sweeps skip dead nodes, replication re-derives
-          // successors), so membership movement re-judges everything. Rare
-          // by construction: only churn events publish these.
-          case DeltaKind::kHandoffFinished:
-            state->departed_any = true;
-            [[fallthrough]];
-          case DeltaKind::kMembership:
-            visit_marks->MarkAll();
-            object_marks->MarkAll();
-            shape_marks->MarkAll();
-            break;
-          case DeltaKind::kLpChange:
-            shape_marks->MarkAll();
-            break;
-          // Graceful-leave extraction moves visit lists wholesale; the
-          // adopter republishes per record, but the extracted records must
-          // be re-judged away too.
-          case DeltaKind::kIopDropped:
-            visit_marks->MarkAll();
-            break;
-          case DeltaKind::kIndexUpsert: {
-            std::vector<SiteLoc>* locs =
-                (memo_locs != nullptr && d.object == memo_object)
-                    ? memo_locs
-                    : &state->sites[d.object];
-            AddUniqueLoc(*locs, SiteLoc{d.actor, d.individual, d.prefix()});
-            memo_object = d.object;
-            memo_locs = locs;
-            if (d.when >= 0.0) {
-              object_marks->Defer(d.object, d.when);
-            } else {
-              object_marks->Mark(d.object);
-            }
-            shape_marks->Mark(d.actor);
-            break;
-          }
-          case DeltaKind::kIndexErase:
-            object_marks->Mark(d.object);
-            shape_marks->Mark(d.actor);
-            break;
-          // Replica upserts and truth moves carry the arrival that starts
-          // the settle clock: every object-grain check's own pending logic
-          // would return exactly `when + staleness` for this state, so park
-          // the audit there.
-          case DeltaKind::kReplicaUpsert:
-          case DeltaKind::kObjectTruth:
-            if (d.when >= 0.0) {
-              object_marks->Defer(d.object, d.when);
-            } else {
-              object_marks->Mark(d.object);
-            }
-            break;
-          case DeltaKind::kReplicaErase:
-            object_marks->Mark(d.object);
-            break;
-          // A visit write is judgeable once its gate settles (the record's
-          // own arrival, or the next hop's arrival for a departure write);
-          // a coarse publish with no arrival re-judges every record.
-          case DeltaKind::kIopVisit:
-            if (d.when >= 0.0) {
-              visit_marks->Defer(VisitKey{d.object, d.actor, d.when},
-                                 d.gate >= 0.0 ? d.gate : d.when);
-            } else {
-              visit_marks->MarkAll();
-            }
-            break;
-          case DeltaKind::kPrefixShape:
-            shape_marks->Mark(d.actor);
-            break;
-          case DeltaKind::kRingNeighbors:
-          case DeltaKind::kRingFinger:
-            break;
-        }
-      }
-    }
-  });
   // Gates judged this scan are the ones at or before now - staleness (the
   // scopes' shared grace); later gates are still in flight and survive.
-  monitor.AddScanEpilogue([visit_marks, object_marks, shape_marks,
-                           staleness](double now) {
-    visit_marks->Retire(now - staleness);
-    object_marks->Retire(now - staleness);
-    shape_marks->Retire(now);
+  monitor.AddScanEpilogue([shared, staleness](double now) {
+    for (const auto& part : shared->parts) {
+      part->visit_marks->Retire(now - staleness);
+      part->object_marks->Retire(now - staleness);
+      part->shape_marks.Retire(now);
+    }
+    shared->shape_marks->Retire(now);
   });
 
-  const auto enumerate_visits = [sys, state](const auto& fn) {
+  // Full-pass universe of one partition's visit pair: every visit record
+  // of every object it owns.
+  const auto enumerate_visits = [sys](TrackPart& part, const auto& fn) {
+    TrackState& st = part.state;
     for (std::size_t i = 0; i < sys->NodeCount(); ++i) {
       tracking::TrackerNode& tracker = sys->Tracker(i);
       if (!tracker.chord().Alive()) continue;
       const std::uint32_t actor = tracker.Self().actor;
-      state->hint_tracker = &tracker;
       tracker.iop().ForEachObject(
           [&](const hash::UInt160& object,
               const std::vector<moods::Visit>& visits) {
+            if (!part.keys.Owns(object)) return;
             for (const moods::Visit& visit : visits) {
-              state->hint_visit = &visit;
+              st.hint_visit = &visit;
               fn(VisitKey{object, actor, visit.arrived});
             }
           });
     }
-    state->hint_tracker = nullptr;
-    state->hint_visit = nullptr;
+    st.hint_visit = nullptr;
   };
-  // Full-pass universe of the fused object trio: every object the oracle
-  // knows (hint_trace set while in its sweep), then any site-mirror
-  // leftovers — index entries for objects with no oracle trace, possible
-  // only in corrupted/test states. The enumerator owns overlap dedup (the
-  // FusedScope contract requires unique keys): oracle keys are unique by
-  // construction, and the leftover loop skips anything the oracle knows —
-  // one probe per leftover instead of a hashed judged-set insert per key.
-  const auto enumerate_objects = [sys, state, mon](const auto& fn) {
-    EnsureMirrors(*state, mon->ScansRun(), *sys);
+  // Full-pass universe of one partition's object trio: every object it
+  // owns that the oracle knows (hint_trace set while in its sweep), then
+  // any site-mirror leftovers — index entries for objects with no oracle
+  // trace, possible only in corrupted/test states. The enumerator owns
+  // overlap dedup (the FusedScope contract requires unique keys): oracle
+  // keys are unique by construction, and the leftover loop skips anything
+  // the oracle knows — one probe per leftover instead of a hashed
+  // judged-set insert per key.
+  const auto enumerate_objects = [sys, mon](TrackPart& part, const auto& fn) {
+    TrackState& st = part.state;
+    EnsureMirrors(st, mon->ScansRun(), part.keys, *sys);
     sys->oracle().ForEachObject(
         [&](const hash::UInt160& object,
             const std::vector<moods::OracleVisit>& trace) {
-          state->hint_trace = &trace;
+          if (!part.keys.Owns(object)) return;
+          st.hint_trace = &trace;
           fn(object);
         });
-    state->hint_trace = nullptr;
+    st.hint_trace = nullptr;
     // Materialize the leftover keys first: the audits prune the mirror
     // while the pass runs, and erasing from the map being iterated is UB.
-    auto& keys = state->key_scratch;
+    auto& keys = st.key_scratch;
     keys.clear();
-    keys.reserve(state->sites.Size());
-    for (const auto& [object, locs] : state->sites) {
+    keys.reserve(st.sites.Size());
+    for (const auto& [object, locs] : st.sites) {
       if (sys->oracle().FullTrace(object) == nullptr) keys.push_back(object);
     }
     for (const hash::UInt160& object : keys) fn(object);
@@ -1627,398 +1760,417 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   // Fetch the visit record a VisitKey names: the enumerator's hint on full
   // passes, the live store on incremental ticks. Null when the record (or
   // its holder) is gone — the key simply retires.
-  const auto fetch_visit =
-      [sys, state](const VisitKey& key) -> const moods::Visit* {
-    if (state->hint_visit != nullptr) return state->hint_visit;
+  const auto fetch_visit = [sys](const TrackPart& part,
+                                 const VisitKey& key) -> const moods::Visit* {
+    if (part.state.hint_visit != nullptr) return part.state.hint_visit;
     tracking::TrackerNode* tracker = sys->TrackerByActor(key.actor);
     if (tracker == nullptr || !tracker->chord().Alive()) return nullptr;
     return tracker->iop().VisitAt(key.object, key.arrived);
   };
 
-  if (options.check_iop) {
-    // One judge for both visit-grain audits: the record fetch happens once
-    // per due key instead of once per check.
-    const auto judge_visits = [sys, staleness, fetch_visit, sub_link,
-                               sub_acyclic](VisitFused& fused,
-                                            CheckContext& ctx,
-                                            const VisitKey& key,
-                                            unsigned mask) {
-      const moods::Visit* vp = fetch_visit(key);
-      if (vp == nullptr) return;  // Record gone: kHealthy for both subs.
-      const moods::Visit& visit = *vp;
-      const double settled_before = ctx.Now() - staleness;
-      const auto subject = [&](const char* end) {
-        return util::Format("{}@{:.3f}:{}", key.object.ToShortHex(),
-                            visit.arrived, end);
-      };
-
-      if ((mask & (1u << sub_link)) != 0u) {
-        const hash::UInt160& object = key.object;
-        const sim::ActorId self = key.actor;
-        bool failed = false;
-        double deadline = kHealthy;
-        const auto defer = [&](double at) {
-          deadline = deadline < 0.0 ? at : std::min(deadline, at);
-        };
-        const auto report = [&](std::string subj, std::string detail) {
-          fused.Report(sub_link, self, object, std::move(subj),
-                       std::move(detail));
-          failed = true;
-        };
-        // Forward: our to-link must have a matching from-link on the
-        // destination's visit record.
-        if (visit.to.has_value() && visit.to->Valid() &&
-            visit.to_arrived.has_value()) {
-          if (*visit.to_arrived > settled_before) {
-            defer(*visit.to_arrived + staleness);  // Judge at settle.
-          } else {
-            tracking::TrackerNode* dest = sys->TrackerByActor(visit.to->actor);
-            // A link into a crashed node is unverifiable and unfixable —
-            // the corpse's records are gone and nothing can reciprocate.
-            // Trace walks surface it as a broken chain; graceful leavers
-            // are NOT exempt (their records were handed over, so a
-            // dangling reference is a handoff bug).
-            const bool dest_crashed = dest != nullptr &&
-                                      !dest->chord().Alive() &&
-                                      !dest->LeftGracefully();
-            const moods::Visit* far =
-                dest == nullptr ? nullptr
-                                : dest->iop().VisitAt(object, *visit.to_arrived);
-            if (dest_crashed) {
-              // Skip: nothing alive can reciprocate this link.
-            } else if (far == nullptr) {
-              report(subject("to"),
-                     util::Format("to-link points at {} @ {:.3f} but no such "
-                                  "visit exists there",
-                                  visit.to->Describe(), *visit.to_arrived));
-            } else if (!far->from.has_value() || !far->from->Valid() ||
-                       far->from->actor != self ||
-                       far->from_arrived != visit.arrived) {
-              report(subject("to"),
-                     util::Format("to-link points at {} @ {:.3f} but its "
-                                  "from-link does not point back here",
-                                  visit.to->Describe(), *visit.to_arrived));
-            }
-          }
-        }
-        // Reverse: our from-link must have a matching to-link on the
-        // source's visit record.
-        if (visit.from.has_value() && visit.from->Valid() &&
-            visit.from_arrived.has_value()) {
-          if (visit.arrived > settled_before) {
-            defer(visit.arrived + staleness);
-          } else {
-            tracking::TrackerNode* src = sys->TrackerByActor(visit.from->actor);
-            const bool src_crashed = src != nullptr &&
-                                     !src->chord().Alive() &&
-                                     !src->LeftGracefully();
-            const moods::Visit* far =
-                src == nullptr
-                    ? nullptr
-                    : src->iop().VisitAt(object, *visit.from_arrived);
-            if (!src_crashed &&
-                (far == nullptr || !far->to.has_value() || !far->to->Valid() ||
-                 far->to->actor != self || far->to_arrived != visit.arrived)) {
-              report(subject("from"),
-                     util::Format("from-link points at {} @ {:.3f} but its "
-                                  "to-link does not point back here",
-                                  visit.from->Describe(), *visit.from_arrived));
-            }
-          }
-        }
-        // An M3 is issued for every indexed arrival; a settled visit that
-        // never learned its provenance marks a lost/missing M3.
-        if (!visit.from.has_value()) {
-          if (visit.arrived > settled_before) {
-            defer(visit.arrived + staleness);
-          } else {
-            report(subject("m3"),
-                   "visit never received its M3 (from-link unset)");
-          }
-        }
-        fused.SetVerdict(sub_link, key, failed ? kWatch : deadline);
-      }
-
-      if ((mask & (1u << sub_acyclic)) != 0u) {
-        // A cycle in a time-sorted chain must contain a link that does not
-        // advance time, so strict per-link monotonicity implies
-        // acyclicity — O(1) per visit record instead of a global chain
-        // walk. Like every other iop gate, judge only settled records: a
-        // fresh visit's links land out of order in flight, and one
-        // post-settle audit per record is what the deferral path relies
-        // on (identical in both modes, so detection timing agrees).
-        double verdict = kHealthy;
-        if (visit.arrived > settled_before) {
-          verdict = visit.arrived + staleness;
-        } else {
-          bool failed = false;
-          if (visit.to.has_value() && visit.to->Valid() &&
-              visit.to_arrived.has_value() &&
-              *visit.to_arrived <= visit.arrived) {
-            fused.Report(sub_acyclic, key.actor, key.object, subject("to"),
-                         util::Format("to-link goes backward in time ({:.3f} "
-                                      "-> {:.3f}): chain is cyclic",
-                                      visit.arrived, *visit.to_arrived));
-            failed = true;
-          }
-          if (visit.from.has_value() && visit.from->Valid() &&
-              visit.from_arrived.has_value() &&
-              *visit.from_arrived >= visit.arrived) {
-            fused.Report(sub_acyclic, key.actor, key.object, subject("from"),
-                         util::Format("from-link goes forward in time ({:.3f} "
-                                      "<- {:.3f}): chain is cyclic",
-                                      visit.arrived, *visit.from_arrived));
-            failed = true;
-          }
-          if (failed) verdict = kWatch;
-        }
-        fused.SetVerdict(sub_acyclic, key, verdict);
-      }
+  // One judge for both visit-grain audits: the record fetch happens once
+  // per due key instead of once per check.
+  const auto judge_visits = [sys, staleness, fetch_visit, sub_link,
+                             sub_acyclic](const TrackPart& part,
+                                          VisitFused& fused,
+                                          const CheckContext& ctx,
+                                          const VisitKey& key, unsigned mask) {
+    const moods::Visit* vp = fetch_visit(part, key);
+    if (vp == nullptr) return;  // Record gone: kHealthy for both subs.
+    const moods::Visit& visit = *vp;
+    const double settled_before = ctx.Now() - staleness;
+    const auto subject = [&](const char* end) {
+      return util::Format("{}@{:.3f}:{}", key.object.ToShortHex(),
+                          visit.arrived, end);
     };
 
-    monitor.AddCheck(
-        "iop.link", Severity::kError,
-        [mon, fused_visits, enumerate_visits, judge_visits,
-         sub_link](CheckContext& ctx) {
-          fused_visits->Run(ctx, mon->ledger(), mon->ScansRun(),
-                            enumerate_visits, judge_visits, sub_link);
-        });
-    monitor.AddCheck(
-        "iop.acyclic", Severity::kFatal,
-        [mon, fused_visits, enumerate_visits, judge_visits,
-         sub_acyclic](CheckContext& ctx) {
-          fused_visits->Run(ctx, mon->ledger(), mon->ScansRun(),
-                            enumerate_visits, judge_visits, sub_acyclic);
-        });
-  }
-
-  if (sub_stale != kNoSub || sub_triangle != kNoSub || sub_repl != kNoSub) {
-    // One judge for all three object-grain audits. The oracle trace and the
-    // site resolution — the two dominant costs of the object pass — are
-    // fetched once per due object instead of once per enabled check.
-    const auto judge_objects = [sys, state, mon, staleness, sub_stale,
-                                sub_triangle, sub_repl](
-                                   ObjectFused& fused, CheckContext& ctx,
-                                   const hash::UInt160& object, unsigned mask) {
-      // site_resolve carries its own scope; the oracle fetch is a single
-      // flat-map probe, so a per-key leaf scope would cost more than the
-      // fetch — it stays inside the fused pass's exclusive remainder.
-      const std::vector<moods::OracleVisit>* trips =
-          state->hint_trace != nullptr ? state->hint_trace
-                                       : sys->oracle().FullTrace(object);
-      // Lazy: gateway.staleness skips resolution for in-flight objects and
-      // gateway.replication skips it when replication is disabled.
-      bool have_sites = false;
-      SiteList found{nullptr, 0};
-      const auto sites = [&]() -> const SiteList& {
-        if (!have_sites) {
-          found = ResolveSites(*state, *sys, object, mon->ScansRun(),
-                               ctx.FullPass());
-          have_sites = true;
-        }
-        return found;
+    if ((mask & (1u << sub_link)) != 0u) {
+      const hash::UInt160& object = key.object;
+      const sim::ActorId self = key.actor;
+      bool failed = false;
+      double deadline = kHealthy;
+      const auto defer = [&](double at) {
+        deadline = deadline < 0.0 ? at : std::min(deadline, at);
       };
-      const double settled_before = ctx.Now() - staleness;
-
-      if (sub_stale != kNoSub && (mask & (1u << sub_stale)) != 0u) {
-        double verdict = kHealthy;
-        if (trips != nullptr && !trips->empty()) {
-          const moods::OracleVisit& truth = trips->back();
-          if (truth.arrived > settled_before) {
-            verdict = truth.arrived + staleness;  // In flight: judge then.
-          } else if (!sites().empty()) {  // Empty: triangle.coverage's finding.
-            const ResolvedSite* best = nullptr;
-            for (const ResolvedSite& site : sites()) {
-              if (best == nullptr ||
-                  site.entry->latest_arrived > best->entry->latest_arrived) {
-                best = &site;
-              }
-            }
-            // actor <-> node index is a bijection, so compare actors:
-            // Tracker(index) is a vector access where the reverse
-            // NodeIndexOfActor is a hash find on the audit hot path.
-            const std::uint32_t truth_actor =
-                truth.node == moods::kNowhere ||
-                        static_cast<std::size_t>(truth.node) >= sys->NodeCount()
-                    ? 0xFFFFFFFFu
-                    : sys->Tracker(static_cast<std::size_t>(truth.node))
-                          .Self()
-                          .actor;
-            if (best->entry->latest_arrived != truth.arrived ||
-                best->entry->latest_node.actor != truth_actor) {
-              const moods::NodeIndex indexed =
-                  sys->NodeIndexOfActor(best->entry->latest_node.actor);
-              fused.Report(sub_stale, best->node->Self().actor, object,
-                           object.ToShortHex(),
-                           util::Format(
-                               "index says node {} @ {:.3f}, oracle latest is "
-                               "node {} @ {:.3f}",
-                               indexed, best->entry->latest_arrived, truth.node,
-                               truth.arrived));
-              verdict = kWatch;
-            }
+      const auto report = [&](std::string subj, std::string detail) {
+        fused.Report(sub_link, self, object, std::move(subj),
+                     std::move(detail));
+        failed = true;
+      };
+      // Forward: our to-link must have a matching from-link on the
+      // destination's visit record.
+      if (visit.to.has_value() && visit.to->Valid() &&
+          visit.to_arrived.has_value()) {
+        if (*visit.to_arrived > settled_before) {
+          defer(*visit.to_arrived + staleness);  // Judge at settle.
+        } else {
+          tracking::TrackerNode* dest = sys->TrackerByActor(visit.to->actor);
+          // A link into a crashed node is unverifiable and unfixable —
+          // the corpse's records are gone and nothing can reciprocate.
+          // Trace walks surface it as a broken chain; graceful leavers
+          // are NOT exempt (their records were handed over, so a
+          // dangling reference is a handoff bug).
+          const bool dest_crashed = dest != nullptr &&
+                                    !dest->chord().Alive() &&
+                                    !dest->LeftGracefully();
+          const moods::Visit* far =
+              dest == nullptr ? nullptr
+                              : dest->iop().VisitAt(object, *visit.to_arrived);
+          if (dest_crashed) {
+            // Skip: nothing alive can reciprocate this link.
+          } else if (far == nullptr) {
+            report(subject("to"),
+                   util::Format("to-link points at {} @ {:.3f} but no such "
+                                "visit exists there",
+                                visit.to->Describe(), *visit.to_arrived));
+          } else if (!far->from.has_value() || !far->from->Valid() ||
+                     far->from->actor != self ||
+                     far->from_arrived != visit.arrived) {
+            report(subject("to"),
+                   util::Format("to-link points at {} @ {:.3f} but its "
+                                "from-link does not point back here",
+                                visit.to->Describe(), *visit.to_arrived));
           }
         }
-        fused.SetVerdict(sub_stale, object, verdict);
       }
+      // Reverse: our from-link must have a matching to-link on the
+      // source's visit record.
+      if (visit.from.has_value() && visit.from->Valid() &&
+          visit.from_arrived.has_value()) {
+        if (visit.arrived > settled_before) {
+          defer(visit.arrived + staleness);
+        } else {
+          tracking::TrackerNode* src = sys->TrackerByActor(visit.from->actor);
+          const bool src_crashed = src != nullptr &&
+                                   !src->chord().Alive() &&
+                                   !src->LeftGracefully();
+          const moods::Visit* far =
+              src == nullptr
+                  ? nullptr
+                  : src->iop().VisitAt(object, *visit.from_arrived);
+          if (!src_crashed &&
+              (far == nullptr || !far->to.has_value() || !far->to->Valid() ||
+               far->to->actor != self || far->to_arrived != visit.arrived)) {
+            report(subject("from"),
+                   util::Format("from-link points at {} @ {:.3f} but its "
+                                "to-link does not point back here",
+                                visit.from->Describe(), *visit.from_arrived));
+          }
+        }
+      }
+      // An M3 is issued for every indexed arrival; a settled visit that
+      // never learned its provenance marks a lost/missing M3.
+      if (!visit.from.has_value()) {
+        if (visit.arrived > settled_before) {
+          defer(visit.arrived + staleness);
+        } else {
+          report(subject("m3"),
+                 "visit never received its M3 (from-link unset)");
+        }
+      }
+      fused.SetVerdict(sub_link, key, failed ? kWatch : deadline);
+    }
 
-      if (sub_triangle != kNoSub && (mask & (1u << sub_triangle)) != 0u) {
-        double verdict = kHealthy;
-        if (trips != nullptr && !trips->empty()) {
-          if (trips->back().arrived > settled_before) {
-            verdict = trips->back().arrived + staleness;
-          } else if (sites().empty()) {
-            const tracking::TrackerNode* gateway = sys->OwnerOf(object);
-            fused.Report(sub_triangle,
-                         gateway != nullptr ? gateway->Self().actor
-                                            : sim::kInvalidActor,
-                         object, object.ToShortHex(),
-                         "no index entry anywhere: record lost");
+    if ((mask & (1u << sub_acyclic)) != 0u) {
+      // A cycle in a time-sorted chain must contain a link that does not
+      // advance time, so strict per-link monotonicity implies
+      // acyclicity — O(1) per visit record instead of a global chain
+      // walk. Like every other iop gate, judge only settled records: a
+      // fresh visit's links land out of order in flight, and one
+      // post-settle audit per record is what the deferral path relies
+      // on (identical in both modes, so detection timing agrees).
+      double verdict = kHealthy;
+      if (visit.arrived > settled_before) {
+        verdict = visit.arrived + staleness;
+      } else {
+        bool failed = false;
+        if (visit.to.has_value() && visit.to->Valid() &&
+            visit.to_arrived.has_value() &&
+            *visit.to_arrived <= visit.arrived) {
+          fused.Report(sub_acyclic, key.actor, key.object, subject("to"),
+                       util::Format("to-link goes backward in time ({:.3f} "
+                                    "-> {:.3f}): chain is cyclic",
+                                    visit.arrived, *visit.to_arrived));
+          failed = true;
+        }
+        if (visit.from.has_value() && visit.from->Valid() &&
+            visit.from_arrived.has_value() &&
+            *visit.from_arrived >= visit.arrived) {
+          fused.Report(sub_acyclic, key.actor, key.object, subject("from"),
+                       util::Format("from-link goes forward in time ({:.3f} "
+                                    "<- {:.3f}): chain is cyclic",
+                                    visit.arrived, *visit.from_arrived));
+          failed = true;
+        }
+        if (failed) verdict = kWatch;
+      }
+      fused.SetVerdict(sub_acyclic, key, verdict);
+    }
+  };
+
+  // One judge for all three object-grain audits. The oracle trace and the
+  // site resolution — the two dominant costs of the object pass — are
+  // fetched once per due object instead of once per enabled check.
+  const auto judge_objects = [sys, shared, mon, staleness, sub_stale,
+                              sub_triangle, sub_repl](
+                                 TrackPart& part, ObjectFused& fused,
+                                 const CheckContext& ctx,
+                                 const hash::UInt160& object, unsigned mask) {
+    TrackState& st = part.state;
+    const ReplicaRing& repl = shared->repl;
+    // site_resolve carries its own scope; the oracle fetch is a single
+    // flat-map probe, so a per-key leaf scope would cost more than the
+    // fetch — it stays inside the fused pass's exclusive remainder.
+    const std::vector<moods::OracleVisit>* trips =
+        st.hint_trace != nullptr ? st.hint_trace
+                                 : sys->oracle().FullTrace(object);
+    // Lazy: gateway.staleness skips resolution for in-flight objects and
+    // gateway.replication skips it when replication is disabled.
+    bool have_sites = false;
+    SiteList found{nullptr, 0};
+    const auto sites = [&]() -> const SiteList& {
+      if (!have_sites) {
+        found = ResolveSites(st, *sys, object, mon->ScansRun(),
+                             ctx.FullPass());
+        have_sites = true;
+      }
+      return found;
+    };
+    const double settled_before = ctx.Now() - staleness;
+
+    if (sub_stale != kNoSub && (mask & (1u << sub_stale)) != 0u) {
+      double verdict = kHealthy;
+      if (trips != nullptr && !trips->empty()) {
+        const moods::OracleVisit& truth = trips->back();
+        if (truth.arrived > settled_before) {
+          verdict = truth.arrived + staleness;  // In flight: judge then.
+        } else if (!sites().empty()) {  // Empty: triangle.coverage's finding.
+          const ResolvedSite* best = nullptr;
+          for (const ResolvedSite& site : sites()) {
+            if (best == nullptr ||
+                site.entry->latest_arrived > best->entry->latest_arrived) {
+              best = &site;
+            }
+          }
+          // actor <-> node index is a bijection, so compare actors:
+          // Tracker(index) is a vector access where the reverse
+          // NodeIndexOfActor is a hash find on the audit hot path.
+          const std::uint32_t truth_actor =
+              truth.node == moods::kNowhere ||
+                      static_cast<std::size_t>(truth.node) >= sys->NodeCount()
+                  ? 0xFFFFFFFFu
+                  : sys->Tracker(static_cast<std::size_t>(truth.node))
+                        .Self()
+                        .actor;
+          if (best->entry->latest_arrived != truth.arrived ||
+              best->entry->latest_node.actor != truth_actor) {
+            const moods::NodeIndex indexed =
+                sys->NodeIndexOfActor(best->entry->latest_node.actor);
+            fused.Report(sub_stale, best->node->Self().actor, object,
+                         object.ToShortHex(),
+                         util::Format(
+                             "index says node {} @ {:.3f}, oracle latest is "
+                             "node {} @ {:.3f}",
+                             indexed, best->entry->latest_arrived, truth.node,
+                             truth.arrived));
             verdict = kWatch;
-          } else if (sites().size() > 1) {
-            // Query-time caching copies a child/parent entry onto the
-            // object's own prefix chain at another level
-            // (data_triangle.cpp); that is the only sanctioned form of
-            // duplication. Site lists are a handful of entries, so the
-            // duplicate-level probe is a quadratic scan over a tiny span
-            // rather than a heap-allocated set.
-            bool sanctioned = true;
-            const ResolvedSite* const first = sites().begin();
-            for (const ResolvedSite* site = first;
-                 sanctioned && site != sites().end(); ++site) {
-              if (site->individual || !site->prefix.Matches(object)) {
+          }
+        }
+      }
+      fused.SetVerdict(sub_stale, object, verdict);
+    }
+
+    if (sub_triangle != kNoSub && (mask & (1u << sub_triangle)) != 0u) {
+      double verdict = kHealthy;
+      if (trips != nullptr && !trips->empty()) {
+        if (trips->back().arrived > settled_before) {
+          verdict = trips->back().arrived + staleness;
+        } else if (sites().empty()) {
+          const tracking::TrackerNode* gateway = sys->OwnerOf(object);
+          fused.Report(sub_triangle,
+                       gateway != nullptr ? gateway->Self().actor
+                                          : sim::kInvalidActor,
+                       object, object.ToShortHex(),
+                       "no index entry anywhere: record lost");
+          verdict = kWatch;
+        } else if (sites().size() > 1) {
+          // Query-time caching copies a child/parent entry onto the
+          // object's own prefix chain at another level
+          // (data_triangle.cpp); that is the only sanctioned form of
+          // duplication. Site lists are a handful of entries, so the
+          // duplicate-level probe is a quadratic scan over a tiny span
+          // rather than a heap-allocated set.
+          bool sanctioned = true;
+          const ResolvedSite* const first = sites().begin();
+          for (const ResolvedSite* site = first;
+               sanctioned && site != sites().end(); ++site) {
+            if (site->individual || !site->prefix.Matches(object)) {
+              sanctioned = false;
+              break;
+            }
+            for (const ResolvedSite* prior = first; prior != site; ++prior) {
+              if (prior->prefix.length == site->prefix.length) {
                 sanctioned = false;
                 break;
               }
-              for (const ResolvedSite* prior = first; prior != site; ++prior) {
-                if (prior->prefix.length == site->prefix.length) {
-                  sanctioned = false;
+            }
+          }
+          if (!sanctioned) {
+            fused.Report(sub_triangle, sites().front().node->Self().actor,
+                         object, object.ToShortHex(),
+                         util::Format(
+                             "{} index entries off the object's own prefix "
+                             "chain: record duplicated",
+                             sites().size()));
+            verdict = kWatch;
+          }
+        }
+      }
+      fused.SetVerdict(sub_triangle, object, verdict);
+    }
+
+    if (sub_repl != kNoSub && (mask & (1u << sub_repl)) != 0u) {
+      double verdict = kHealthy;
+      if (sys->config().tracker.replicate_index) {
+        if (repl.r != 0 && !sites().empty()) {  // r 0: n < 2.
+          const SiteList& holders = sites();
+          moods::Time freshest = holders.front().entry->latest_arrived;
+          for (const ResolvedSite& site : holders) {
+            freshest = std::max(freshest, site.entry->latest_arrived);
+          }
+          // The replica push itself needs time to land.
+          if (freshest > settled_before) {
+            verdict = freshest + staleness;
+          } else {
+            bool covered = false;
+            for (const ResolvedSite& site : holders) {
+              if (site.entry->latest_arrived != freshest) continue;
+              const std::size_t* pos = repl.position.Find(site.node);
+              if (pos == nullptr) continue;
+              bool all_successors_hold_it = true;
+              for (tracking::TrackerNode* succ : repl.successors[*pos]) {
+                bool holds = false;
+                if (succ != nullptr) {
+                  const tracking::IndexEntry* replica =
+                      succ->replica_store().Find(object);
+                  holds = replica != nullptr &&
+                          replica->latest_arrived >= freshest;
+                  if (!holds) {
+                    // The successor may hold the object authoritatively
+                    // instead (promotion or index migration landed there).
+                    for (const ResolvedSite& other : holders) {
+                      if (other.node == succ &&
+                          other.entry->latest_arrived >= freshest) {
+                        holds = true;
+                        break;
+                      }
+                    }
+                  }
+                }
+                if (!holds) {
+                  all_successors_hold_it = false;
                   break;
                 }
               }
+              if (all_successors_hold_it) {
+                covered = true;
+                break;
+              }
             }
-            if (!sanctioned) {
-              fused.Report(sub_triangle, sites().front().node->Self().actor,
+            if (!covered) {
+              fused.Report(sub_repl, holders.front().node->Self().actor,
                            object, object.ToShortHex(),
                            util::Format(
-                               "{} index entries off the object's own prefix "
-                               "chain: record duplicated",
-                               sites().size()));
+                               "freshest entry (@ {:.3f}) is not mirrored on "
+                               "the {} successors of any holder: a gateway "
+                               "crash would lose L(o,t)",
+                               freshest, repl.r));
               verdict = kWatch;
             }
           }
         }
-        fused.SetVerdict(sub_triangle, object, verdict);
       }
+      fused.SetVerdict(sub_repl, object, verdict);
+    }
+  };
 
-      if (sub_repl != kNoSub && (mask & (1u << sub_repl)) != 0u) {
-        double verdict = kHealthy;
-        if (sys->config().tracker.replicate_index) {
-          EnsureReplication(*state, mon->ScansRun(), *sys);
-          if (state->repl_r != 0 && !sites().empty()) {  // repl_r 0: n < 2.
-            const SiteList& holders = sites();
-            moods::Time freshest = holders.front().entry->latest_arrived;
-            for (const ResolvedSite& site : holders) {
-              freshest = std::max(freshest, site.entry->latest_arrived);
-            }
-            // The replica push itself needs time to land.
-            if (freshest > settled_before) {
-              verdict = freshest + staleness;
-            } else {
-              bool covered = false;
-              for (const ResolvedSite& site : holders) {
-                if (site.entry->latest_arrived != freshest) continue;
-                const std::size_t* pos = state->position.Find(site.node);
-                if (pos == nullptr) continue;
-                bool all_successors_hold_it = true;
-                for (tracking::TrackerNode* succ : state->successors[*pos]) {
-                  bool holds = false;
-                  if (succ != nullptr) {
-                    const tracking::IndexEntry* replica =
-                        succ->replica_store().Find(object);
-                    holds = replica != nullptr &&
-                            replica->latest_arrived >= freshest;
-                    if (!holds) {
-                      // The successor may hold the object authoritatively
-                      // instead (promotion or index migration landed there).
-                      for (const ResolvedSite& other : holders) {
-                        if (other.node == succ &&
-                            other.entry->latest_arrived >= freshest) {
-                          holds = true;
-                          break;
-                        }
-                      }
-                    }
-                  }
-                  if (!holds) {
-                    all_successors_hold_it = false;
-                    break;
-                  }
-                }
-                if (all_successors_hold_it) {
-                  covered = true;
-                  break;
-                }
-              }
-              if (!covered) {
-                fused.Report(sub_repl, holders.front().node->Self().actor,
-                             object, object.ToShortHex(),
-                             util::Format(
-                                 "freshest entry (@ {:.3f}) is not mirrored on "
-                                 "the {} successors of any holder: a gateway "
-                                 "crash would lose L(o,t)",
-                                 freshest, state->repl_r));
-                verdict = kWatch;
-              }
-            }
-          }
-        }
-        fused.SetVerdict(sub_repl, object, verdict);
-      }
+  // The fused checks' bodies only emit what the scan phase's partition
+  // passes buffered, partition by partition; the monitor canonicalises the
+  // order before reconciling.
+  const auto emit_visits = [shared](unsigned sub) {
+    return [shared, sub](CheckContext& ctx) {
+      for (const auto& part : shared->parts) part->visits->Emit(ctx, sub);
     };
-
-    if (sub_stale != kNoSub) {
-      monitor.AddCheck(
-          "gateway.staleness", Severity::kError,
-          [mon, fused_objects, enumerate_objects, judge_objects,
-           sub_stale](CheckContext& ctx) {
-            fused_objects->Run(ctx, mon->ledger(), mon->ScansRun(),
-                               enumerate_objects, judge_objects, sub_stale);
-          });
-    }
-    if (sub_triangle != kNoSub) {
-      monitor.AddCheck(
-          "triangle.coverage", Severity::kFatal,
-          [mon, fused_objects, enumerate_objects, judge_objects,
-           sub_triangle](CheckContext& ctx) {
-            fused_objects->Run(ctx, mon->ledger(), mon->ScansRun(),
-                               enumerate_objects, judge_objects, sub_triangle);
-          });
-    }
-    if (sub_repl != kNoSub) {
-      monitor.AddCheck(
-          "gateway.replication", Severity::kError,
-          [mon, fused_objects, enumerate_objects, judge_objects,
-           sub_repl](CheckContext& ctx) {
-            fused_objects->Run(ctx, mon->ledger(), mon->ScansRun(),
-                               enumerate_objects, judge_objects, sub_repl);
-          });
-    }
+  };
+  const auto emit_objects = [shared](unsigned sub) {
+    return [shared, sub](CheckContext& ctx) {
+      for (const auto& part : shared->parts) part->objects->Emit(ctx, sub);
+    };
+  };
+  if (options.check_iop) {
+    monitor.AddCheck("iop.link", Severity::kError, emit_visits(sub_link));
+    monitor.AddCheck("iop.acyclic", Severity::kFatal, emit_visits(sub_acyclic));
   }
+  if (sub_stale != kNoSub) {
+    monitor.AddCheck("gateway.staleness", Severity::kError,
+                     emit_objects(sub_stale));
+  }
+  if (sub_triangle != kNoSub) {
+    monitor.AddCheck("triangle.coverage", Severity::kFatal,
+                     emit_objects(sub_triangle));
+  }
+  if (sub_repl != kNoSub) {
+    monitor.AddCheck("gateway.replication", Severity::kError,
+                     emit_objects(sub_repl));
+  }
+
+  // The scan's key-partitioned phase: partition p drains the backlog into
+  // its own marks and mirror, then runs its visit and object passes, on
+  // shard p's parked thread. The replication precompute is built first,
+  // serially, and only read by the partitions.
+  const bool replicated =
+      fuse_objects && system.config().tracker.replicate_index;
+  monitor.AddScanPhase([shared, sys, mon, replicated, enumerate_visits,
+                        enumerate_objects, judge_visits, judge_objects](
+                           const StateDeltaBus* backlog,
+                           const CheckContext& scan) {
+    if (replicated) EnsureReplication(shared->repl, mon->ScansRun(), *sys);
+    mon->RunPartitioned([&](std::uint32_t p) {
+      PROF_SCOPE("invariant", "partition");
+      TrackPart& part = *shared->parts[p];
+      if (backlog != nullptr) DrainTracking(part, *shared, *backlog);
+      if (part.visits != nullptr) {
+        part.visits->RunPass(
+            scan, mon->ledger(),
+            [&](const auto& fn) { enumerate_visits(part, fn); },
+            [&](VisitFused& fused, const CheckContext& ctx, const VisitKey& key,
+                unsigned mask) { judge_visits(part, fused, ctx, key, mask); });
+      }
+      if (part.objects != nullptr) {
+        part.objects->RunPass(
+            scan, mon->ledger(),
+            [&](const auto& fn) { enumerate_objects(part, fn); },
+            [&](ObjectFused& fused, const CheckContext& ctx,
+                const hash::UInt160& object, unsigned mask) {
+              judge_objects(part, fused, ctx, object, mask);
+            });
+      }
+    });
+  });
 
   if (options.check_handoff) {
     monitor.AddCheck(
         "handoff.complete", Severity::kError,
-        [sys, state, mon](CheckContext& ctx) {
+        [sys, shared, mon](CheckContext& ctx) {
           // Cheap while nobody has gracefully departed (the common case):
           // incremental ticks skip the sweep entirely until the first
           // kHandoffFinished delta, then run the full body every tick —
           // departure findings can appear or heal anywhere after that.
-          const bool watched = state->departed_any;
+          const bool watched = shared->departed_any;
           if (ctx.Incremental() && !ctx.FullPass() && !watched) return;
           const std::size_t before = ctx.findings().size();
           AuditHandoff(*sys, ctx);
-          if (ctx.findings().size() != before) state->departed_any = true;
+          if (ctx.findings().size() != before) shared->departed_any = true;
           if (ctx.Incremental() && ctx.FullPass() && !watched) {
             for (std::size_t i = before; i < ctx.findings().size(); ++i) {
               if (!mon->ledger().IsOpen("handoff.complete",
@@ -2033,7 +2185,11 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   if (options.check_prefix_shape) {
     monitor.AddCheck(
         "prefix.shape", Severity::kError,
-        [sys, view, mon, sc_shape, enumerate_trackers](CheckContext& ctx) {
+        [sys, view, mon, shared, sc_shape,
+         enumerate_trackers](CheckContext& ctx) {
+          for (const auto& part : shared->parts) {
+            shared->shape_marks->Absorb(part->shape_marks);
+          }
           sc_shape->Run(
               ctx, "prefix.shape", mon->ledger(), enumerate_trackers,
               [&](CheckContext& c, std::uint32_t actor) -> double {

@@ -94,6 +94,12 @@ class CheckContext {
 
   const std::vector<Finding>& findings() const noexcept { return findings_; }
 
+  /// Put the findings in canonical order: by subject, then actor, detail
+  /// and object. The monitor calls this before reconciling, so the ledger
+  /// (its record order, and so the capped forensic-bundle choice) does not
+  /// depend on the order keys were audited in or on the partition count.
+  void SortFindings();
+
  private:
   double now_;
   bool full_pass_ = true;
@@ -118,7 +124,7 @@ class InvariantMonitor {
 
   /// Switch to event-driven auditing: claim `bus`'s staging buffers (which
   /// arms the publishers' Active() guard) so mutations append compact PODs
-  /// there, and hand the backlog to the installers' drain handlers at the
+  /// there, and hand the backlog to the installers' scan phases at the
   /// top of every scan. Regular ticks then audit only dirty/watched
   /// subjects; every `full_sweep_every_n_ticks`-th scan still audits the
   /// full universe as a cross-check, counting any finding the incremental
@@ -130,12 +136,35 @@ class InvariantMonitor {
                          std::uint32_t full_sweep_every_n_ticks = 10);
   bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
 
-  /// Register a staged-backlog consumer (one per installer). At the top of
-  /// every incremental scan each handler walks the bus's staged lanes
-  /// and marks its per-check dirty sets; the monitor then clears the
-  /// backlog. This is the only way deltas reach the checks.
-  using DrainHandler = std::function<void(const StateDeltaBus&)>;
-  void AddDrainHandler(DrainHandler handler);
+  /// Register a scan phase (one per installer). Phases run at the top of
+  /// every scan, in registration order, before any check. `backlog` is the
+  /// bus holding the staged deltas to route into the installer's mark sets
+  /// (null in full mode or when nothing is staged); the monitor clears the
+  /// backlog after the last phase, so this is the only way deltas reach the
+  /// checks. `scan` carries the scan's sim time and pass flags; findings
+  /// go to the checks' own contexts, never to it. A phase may run
+  /// key-partitioned work through RunPartitioned().
+  using ScanPhase =
+      std::function<void(const StateDeltaBus* backlog, const CheckContext& scan)>;
+  void AddScanPhase(ScanPhase phase);
+
+  /// Key-partitioned fan-out (DESIGN.md §8.2). `run(fn)` must call fn(p)
+  /// once for every p in [0, partitions) — concurrently or not — and return
+  /// when all calls are done. Set it before installing checks: installers
+  /// size their per-partition state from Partitions().
+  /// InstallTrackingChecks adopts the system's shard engine (one partition
+  /// per shard, partition p on shard p's parked thread) unless a fan-out
+  /// was set already; setting one first is how a single-shard test splits
+  /// its scan.
+  using FanOut =
+      std::function<void(const std::function<void(std::uint32_t)>& fn)>;
+  void SetFanOut(std::uint32_t partitions, FanOut run);
+  bool HasFanOut() const noexcept { return static_cast<bool>(fan_out_); }
+  /// Partition count: 1 until SetFanOut.
+  std::uint32_t Partitions() const noexcept { return partitions_; }
+  /// Run fn(p) for every partition through the fan-out (inline without
+  /// one); returns when every call is done.
+  void RunPartitioned(const std::function<void(std::uint32_t)>& fn) const;
 
   /// Register a hook that runs after every scan, once all checks have run,
   /// with the scan's sim time. Installers use it to retire dirty marks that
@@ -233,7 +262,9 @@ class InvariantMonitor {
   double scan_wall_ms_ = 0.0;
   StateDeltaBus* bus_ = nullptr;  ///< Non-null once staging is claimed.
   std::uint32_t full_sweep_every_n_ = 10;
-  std::vector<DrainHandler> drain_handlers_;
+  std::vector<ScanPhase> phases_;
+  std::uint32_t partitions_ = 1;
+  FanOut fan_out_;
   std::vector<std::function<void(double)>> epilogues_;
   std::uint64_t deltas_routed_ = 0;
   std::uint64_t full_sweeps_ = 0;

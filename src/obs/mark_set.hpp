@@ -2,9 +2,10 @@
 // MarkSet — dirty/deferred marks accumulated from state deltas.
 //
 // Shared by every invariant check auditing the same key space (the
-// installer's drain handler inserts each key once instead of once per
-// check — it walks millions of deltas per run, the checks ten). Retired by the installer's
-// scan epilogue after ALL checks consumed it. Split out of invariants.cpp
+// installer's drain inserts each key once instead of once per check — it
+// walks millions of deltas per run, the checks ten). A key-partitioned
+// drain keeps one set per partition per key space. Retired by the
+// installer's scan epilogue after ALL checks consumed it. Split out of invariants.cpp
 // so the one-element dedup memos — which sit directly under the staged
 // drain — have their own regression tests.
 
@@ -54,6 +55,18 @@ struct MarkSet {
     last_defer_ = key;
     last_defer_gate_ = slot->second;
     has_last_defer_ = true;
+  }
+  /// Fold `other`'s marks into this set: a key-partitioned drain's
+  /// per-partition marks into the one set a serial check consumes. The
+  /// union is the set a single drain would have marked, whatever order the
+  /// partitions are absorbed in (Defer min-merges, MarkAll dominates).
+  void Absorb(const MarkSet& other) {
+    if (other.all) {
+      MarkAll();
+      return;
+    }
+    for (const Key& key : other.dirty) Mark(key);
+    for (const auto& [key, gate] : other.deferred) Defer(key, gate);
   }
   /// End-of-scan cleanup. Unlike `dirty`, `deferred` persists across scans
   /// (a gate set this interval is usually due a scan or two later); only

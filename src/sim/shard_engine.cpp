@@ -153,16 +153,45 @@ void ShardEngine::RunWindowParallel(Time w_end, bool inclusive) {
   ++windows_;
 }
 
+void ShardEngine::RunOnShards(const std::function<void(std::uint32_t)>& fn) {
+  assert(!InParallelSection() && "fan-out needs every shard parked");
+  if (shards_.size() == 1) {
+    fn(0);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    task_ = &fn;
+    pending_ = static_cast<std::uint32_t>(shards_.size() - 1);
+    ++epoch_;
+  }
+  cv_work_.notify_all();
+  {
+    obs::LaneScope lane(0);
+    fn(0);
+  }
+  std::unique_lock<std::mutex> lk(m_);
+  cv_done_.wait(lk, [this] { return pending_ == 0; });
+  task_ = nullptr;
+}
+
 void ShardEngine::WorkerMain(std::uint32_t shard) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
+    const std::function<void(std::uint32_t)>* task = nullptr;
     {
       std::unique_lock<std::mutex> lk(m_);
       cv_work_.wait(lk, [&] { return quit_ || epoch_ != seen_epoch; });
       if (quit_) return;
       seen_epoch = epoch_;
+      task = task_;
     }
-    RunShardWindow(shard);
+    if (task != nullptr) {
+      obs::LaneScope lane(shard);
+      (*task)(shard);
+    } else {
+      RunShardWindow(shard);
+    }
     {
       std::lock_guard<std::mutex> lk(m_);
       --pending_;

@@ -31,7 +31,10 @@
 // parked at exactly that instant and the control events run serially on
 // the coordinator thread — cross-actor direct calls are safe there because
 // all workers are parked. This preserves the single-threaded semantics of
-// "scan sees a globally consistent cut at time T".
+// "scan sees a globally consistent cut at time T". The one exception is
+// the invariant scan's key-partitioned phases: a control event may fan a
+// read-only pass out over the parked shard threads with RunOnShards and
+// join it before anything mutates again.
 //
 // Determinism. Windows depend only on event timestamps, never on thread
 // timing. Mailboxes are drained in (deliver_time, source shard, send
@@ -53,6 +56,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -113,6 +117,14 @@ class ShardEngine {
   bool InParallelSection() const noexcept {
     return parallel_.load(std::memory_order_relaxed);
   }
+
+  /// Run `fn(s)` once per shard s, on shard s's thread (shard 0 on the
+  /// calling coordinator thread), and return when every call is done. Legal
+  /// only in the control phase, with every shard parked. Each call runs on
+  /// obs lane s. InParallelSection() stays false: the fan-out is for passes
+  /// that only read protocol state, so cross-actor reads from it are not
+  /// colocation breaches. At S=1 this is `fn(0)` inline.
+  void RunOnShards(const std::function<void(std::uint32_t)>& fn);
 
   /// Stage a cross-shard action from inside a parallel window. The source
   /// shard is the calling thread's shard. Deliveries below the current
@@ -198,6 +210,9 @@ class ShardEngine {
   std::uint32_t pending_ = 0;
   Time window_end_ = 0.0;
   bool window_inclusive_ = false;
+  /// Non-null while RunOnShards is fanning out: woken workers run it
+  /// instead of a window.
+  const std::function<void(std::uint32_t)>* task_ = nullptr;
   bool quit_ = false;
   std::atomic<bool> parallel_{false};
 

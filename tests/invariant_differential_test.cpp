@@ -13,10 +13,19 @@
 // those tests pin WHAT each check detects; this file pins that the
 // incremental path detects it IDENTICALLY — plus the churn-soak schedule,
 // which exercises the delta bus under joins, crashes, and graceful leaves.
+//
+// Every scenario also runs a third time, incremental with the scan's
+// key-partitioned phases split four ways (through the monitor's fan-out
+// seam, serially and in reverse partition order). Partitioning must be
+// invisible: the same ledger in the same record order, the same
+// cross-check misses and the same routed-delta count as the one-partition
+// incremental run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,7 +36,25 @@
 namespace peertrack::obs {
 namespace {
 
-enum class Mode { kFull, kIncremental };
+enum class Mode { kFull, kIncremental, kSplit };
+
+constexpr std::uint32_t kSplitPartitions = 4;
+
+/// Put `monitor` in `mode`: kSplit is incremental with a four-way fan-out
+/// that runs the partitions one after another, last partition first.
+void ConfigureMonitor(InvariantMonitor& monitor,
+                      tracking::TrackingSystem& system, Mode mode) {
+  if (mode == Mode::kFull) return;
+  monitor.EnableIncremental(system.network().delta_bus());
+  if (mode == Mode::kSplit) {
+    monitor.SetFanOut(kSplitPartitions,
+                      [](const std::function<void(std::uint32_t)>& fn) {
+                        for (std::uint32_t p = kSplitPartitions; p-- > 0;) {
+                          fn(p);
+                        }
+                      });
+  }
+}
 
 hash::UInt160 Obj(int i) {
   return hash::ObjectKey(util::Format("epc:diff-{}", i));
@@ -48,46 +75,84 @@ std::vector<std::string> LedgerDigest(const InvariantMonitor& monitor) {
   return out;
 }
 
+/// What a run's monitor ended with: the sorted digest the modes are
+/// compared on, plus what partitioning must not change — the ledger in
+/// record order (details and actors included), the cross-check misses and
+/// the routed-delta count.
+struct Outcome {
+  std::vector<std::string> digest;
+  std::vector<std::string> ledger;
+  std::uint64_t misses = 0;
+  std::uint64_t deltas = 0;
+};
+
+Outcome OutcomeOf(const InvariantMonitor& monitor) {
+  Outcome out;
+  out.digest = LedgerDigest(monitor);
+  for (const auto& violation : monitor.ledger().violations()) {
+    out.ledger.push_back(util::Format(
+        "{} [{}] actor={} first_seen={:.3f} cleared={:.3f} {}",
+        violation.check, violation.subject, violation.actor,
+        violation.first_seen_ms, violation.cleared_ms.value_or(-1.0),
+        violation.detail));
+  }
+  out.misses = monitor.CrossCheckMisses();
+  out.deltas = monitor.DeltasRouted();
+  return out;
+}
+
+/// The split run must reproduce the one-partition incremental run exactly.
+void ExpectPartitionInvariant(const Outcome& incremental, const Outcome& split,
+                              const std::string& label) {
+  EXPECT_EQ(incremental.ledger, split.ledger)
+      << label << ": the " << kSplitPartitions
+      << "-partition scan changed the ledger or its record order";
+  EXPECT_EQ(incremental.misses, split.misses) << label;
+  EXPECT_EQ(incremental.deltas, split.deltas) << label;
+}
+
 /// Build a world, install the monitor in `mode`, run the scenario, finish
-/// with a forced full sweep, and return the sorted violation digest.
+/// with a forced full sweep, and return the monitor's outcome.
 /// `World` must default-construct the same deterministic system every time;
 /// `scenario(system, monitor)` drives corruption/repair and RunOnce calls.
 template <typename World, typename Scenario>
-std::vector<std::string> RunOnce(Mode mode, const Scenario& scenario) {
+Outcome RunOnce(Mode mode, const Scenario& scenario) {
   World world;
   tracking::TrackingSystem& system = world.system;
   Registry registry;
   InvariantMonitor monitor(system.simulator(), registry);
-  if (mode == Mode::kIncremental) {
-    monitor.EnableIncremental(system.network().delta_bus());
-  }
+  ConfigureMonitor(monitor, system, mode);
   InstallRingChecks(monitor, system.ring());
   InstallTrackingChecks(monitor, system, {.staleness_ms = 100.0});
+  EXPECT_EQ(monitor.Partitions(),
+            mode == Mode::kSplit ? kSplitPartitions : 1u);
   scenario(system, monitor);
   // The final sweep doubles as the cross-check: in incremental mode it must
   // find nothing the delta-driven path missed.
   monitor.RunOnce(/*force_full_sweep=*/true);
-  if (mode == Mode::kIncremental) {
+  if (mode != Mode::kFull) {
     EXPECT_EQ(monitor.CrossCheckMisses(), 0u)
         << "full cross-check sweep found findings the incremental path "
            "had no reason to audit";
     EXPECT_GE(monitor.FullSweeps(), 1u);
     EXPECT_GT(monitor.DeltasRouted(), 0u) << "no deltas reached the monitor";
   }
-  return LedgerDigest(monitor);
+  return OutcomeOf(monitor);
 }
 
 template <typename World, typename Scenario>
 void ExpectIdenticalDetection(const Scenario& scenario,
                               bool expect_violations = true) {
-  const auto full = RunOnce<World>(Mode::kFull, scenario);
-  const auto incremental = RunOnce<World>(Mode::kIncremental, scenario);
-  EXPECT_EQ(full, incremental)
+  const auto full = RunOnce<World>(Mode::kFull, scenario).digest;
+  const Outcome incremental = RunOnce<World>(Mode::kIncremental, scenario);
+  EXPECT_EQ(full, incremental.digest)
       << "incremental mode diverged from the full-scan ground truth";
   if (expect_violations) {
     EXPECT_FALSE(full.empty())
         << "scenario produced no violations at all — it tests nothing";
   }
+  ExpectPartitionInvariant(incremental,
+                           RunOnce<World>(Mode::kSplit, scenario), "scenario");
 }
 
 // --- Individual-mode worlds (mirrors IndividualFixture) ---------------------
@@ -210,6 +275,32 @@ TEST(InvariantDifferential, DroppedRecordOpensAndHealsIdentically) {
       });
 }
 
+// Many findings in one scan, spread over the split run's key partitions:
+// an incremental tick opens the broken links in holder order and the
+// closing full sweep opens the lost records in enumeration order. Neither
+// order may reach the ledger.
+TEST(InvariantDifferential, ManyFindingsInOneScanOpenIdentically) {
+  ExpectIdenticalDetection<IndividualWorld>(
+      [](tracking::TrackingSystem& system, InvariantMonitor& monitor) {
+        monitor.RunOnce();
+        // Objects 0..3 first visit node i % 4 and then move to another node.
+        for (int i = 0; i < 4; ++i) {
+          tracking::TrackerNode& holder = system.Tracker(i % 4);
+          const auto* visits = holder.iop().VisitsOf(Obj(i));
+          ASSERT_NE(visits, nullptr);
+          holder.mutable_iop().SetTo(Obj(i), system.Tracker(12).Self(),
+                                     *visits->front().to_arrived);
+        }
+        monitor.RunOnce();
+        for (int i = 0; i < 8; ++i) {
+          tracking::TrackerNode* gateway = system.OwnerOf(Obj(i));
+          ASSERT_NE(gateway, nullptr);
+          ASSERT_TRUE(
+              gateway->mutable_individual_index().Extract(Obj(i)).has_value());
+        }
+      });
+}
+
 // --- Replicated individual-mode world (fused dual-trip scenario) ------------
 
 struct ReplicatedWorld {
@@ -265,10 +356,13 @@ TEST(InvariantDifferential, DualTripReportsBothFusedCheckIdsIdentically) {
     system.RunUntil(26'000.0);
     monitor.RunOnce();  // ...and close both.
   };
-  const auto full = RunOnce<ReplicatedWorld>(Mode::kFull, scenario);
-  const auto incremental = RunOnce<ReplicatedWorld>(Mode::kIncremental, scenario);
-  EXPECT_EQ(full, incremental)
+  const auto full = RunOnce<ReplicatedWorld>(Mode::kFull, scenario).digest;
+  const Outcome incremental =
+      RunOnce<ReplicatedWorld>(Mode::kIncremental, scenario);
+  EXPECT_EQ(full, incremental.digest)
       << "incremental mode diverged from the full-scan ground truth";
+  ExpectPartitionInvariant(
+      incremental, RunOnce<ReplicatedWorld>(Mode::kSplit, scenario), "dual trip");
   const auto count = [&full](const char* check) {
     return std::count_if(full.begin(), full.end(),
                          [check](const std::string& line) {
@@ -385,7 +479,7 @@ TEST(InvariantDifferential, MisplacedBucketOpensIdentically) {
 /// captures, live queries) with a periodically-ticking monitor and returns
 /// the violation digest. Same seed + same mode-independent schedule ==
 /// identical simulation trajectory, so the two modes' digests must match.
-std::vector<std::string> RunChurn(std::uint64_t seed, Mode mode) {
+Outcome RunChurn(std::uint64_t seed, Mode mode) {
   tracking::SystemConfig config;
   config.tracker.mode = tracking::IndexingMode::kGroup;
   config.tracker.window.tmax_ms = 100.0;
@@ -408,9 +502,7 @@ std::vector<std::string> RunChurn(std::uint64_t seed, Mode mode) {
   system.RunUntil(system.simulator().Now() + 3000.0);
 
   InvariantMonitor monitor(system.simulator(), system.metrics().registry());
-  if (mode == Mode::kIncremental) {
-    monitor.EnableIncremental(system.network().delta_bus());
-  }
+  ConfigureMonitor(monitor, system, mode);
   InstallRingChecks(monitor, system.ring());
   InstallTrackingChecks(monitor, system);
   monitor.Start(/*period_ms=*/500.0,
@@ -462,7 +554,7 @@ std::vector<std::string> RunChurn(std::uint64_t seed, Mode mode) {
   }
   system.RunUntil(system.simulator().Now() + 60000.0);
   monitor.RunOnce(/*force_full_sweep=*/true);
-  if (mode == Mode::kIncremental) {
+  if (mode != Mode::kFull) {
     EXPECT_EQ(monitor.CrossCheckMisses(), 0u)
         << "churn cross-check miss (seed " << seed << ")";
     EXPECT_GT(monitor.DeltasRouted(), 0u);
@@ -470,17 +562,19 @@ std::vector<std::string> RunChurn(std::uint64_t seed, Mode mode) {
   // Both modes must also agree the run is self-healing at quiesce.
   EXPECT_EQ(monitor.OpenViolations(), 0u)
       << "violations still open at quiesce (seed " << seed << ")";
-  return LedgerDigest(monitor);
+  return OutcomeOf(monitor);
 }
 
 class ChurnDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChurnDifferential, FullAndIncrementalAgreeUnderChurn) {
   const std::uint64_t seed = GetParam();
-  const auto full = RunChurn(seed, Mode::kFull);
-  const auto incremental = RunChurn(seed, Mode::kIncremental);
-  EXPECT_EQ(full, incremental)
+  const auto full = RunChurn(seed, Mode::kFull).digest;
+  const Outcome incremental = RunChurn(seed, Mode::kIncremental);
+  EXPECT_EQ(full, incremental.digest)
       << "incremental mode diverged under churn (seed " << seed << ")";
+  ExpectPartitionInvariant(incremental, RunChurn(seed, Mode::kSplit),
+                           util::Format("churn seed {}", seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnDifferential,

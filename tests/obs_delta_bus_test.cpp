@@ -133,5 +133,45 @@ TEST(StateDeltaBus, EachLaneStagesItsOwnPublishesInOrder) {
   }
 }
 
+TEST(StateDeltaBus, StagedKindsMaskTracksEachLaneUntilCleared) {
+  StateDeltaBus bus;
+  bus.EnableLanes(3);
+  ASSERT_TRUE(bus.BeginStaging());
+  const auto bit = [](DeltaKind kind) { return StateDeltaBus::KindBit(kind); };
+  for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+    EXPECT_EQ(bus.StagedKinds(lane), 0u);
+  }
+  {
+    LaneScope scope(1);
+    bus.Publish(StateDelta::Object(DeltaKind::kObjectTruth, 4, Key(1), 2.0));
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, 4));
+    bus.Publish(StateDelta::Object(DeltaKind::kObjectTruth, 4, Key(2), 3.0));
+  }
+  {
+    LaneScope scope(2);
+    bus.Publish(StateDelta::Global(DeltaKind::kLpChange));
+  }
+  // Each lane's mask holds exactly the kinds staged on it; lane 0 staged
+  // nothing, so a ring consumer skips it and lane 2 unread.
+  EXPECT_EQ(bus.StagedKinds(0), 0u);
+  EXPECT_EQ(bus.StagedKinds(1),
+            bit(DeltaKind::kObjectTruth) | bit(DeltaKind::kRingFinger));
+  EXPECT_EQ(bus.StagedKinds(2), bit(DeltaKind::kLpChange));
+  EXPECT_NE(bit(DeltaKind::kRingFinger), bit(DeltaKind::kRingNeighbors));
+
+  bus.ClearStaged();
+  for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+    EXPECT_EQ(bus.StagedKinds(lane), 0u) << "lane " << lane;
+  }
+  bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 9));
+  EXPECT_EQ(bus.StagedKinds(0), bit(DeltaKind::kMembership));
+  bus.EndStaging();
+  EXPECT_EQ(bus.StagedKinds(0), 0u);
+
+  // Without a staging claim nothing is staged, so nothing is masked.
+  bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 9));
+  EXPECT_EQ(bus.StagedKinds(0), 0u);
+}
+
 }  // namespace
 }  // namespace peertrack::obs

@@ -121,5 +121,40 @@ TEST(MarkSet, MarkAllResetsMemosAndMarks) {
   EXPECT_TRUE(marks.deferred.Contains(2));
 }
 
+// A key-partitioned drain marks one set per partition; the serial check
+// that consumes them absorbs each into one union set, which must hold what
+// a single drain would have marked, in any absorb order.
+TEST(MarkSet, AbsorbUnionsPartitionsAndMarkAllDominates) {
+  IntMarks left = AfterFirstScan();
+  IntMarks right = AfterFirstScan();
+  left.Mark(1);
+  left.Defer(3, 9.0);
+  right.Mark(2);
+  right.Defer(3, 4.0);
+  right.Defer(5, 7.0);
+  for (const bool left_first : {true, false}) {
+    IntMarks merged = AfterFirstScan();
+    merged.Absorb(left_first ? left : right);
+    merged.Absorb(left_first ? right : left);
+    EXPECT_FALSE(merged.all);
+    EXPECT_EQ(merged.dirty.Size(), 2u);
+    EXPECT_TRUE(merged.dirty.Contains(1));
+    EXPECT_TRUE(merged.dirty.Contains(2));
+    ASSERT_NE(merged.deferred.Find(3), nullptr);
+    EXPECT_EQ(*merged.deferred.Find(3), 4.0);  // Min-merged.
+    ASSERT_NE(merged.deferred.Find(5), nullptr);
+    EXPECT_EQ(*merged.deferred.Find(5), 7.0);
+  }
+
+  IntMarks flat;  // Never retired: everything dirty.
+  IntMarks merged = AfterFirstScan();
+  merged.Absorb(left);
+  merged.Absorb(flat);
+  merged.Absorb(right);
+  EXPECT_TRUE(merged.all);
+  EXPECT_TRUE(merged.dirty.Empty());
+  EXPECT_TRUE(merged.deferred.Empty());
+}
+
 }  // namespace
 }  // namespace peertrack::obs
