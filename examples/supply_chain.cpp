@@ -16,6 +16,7 @@
 #include "peertrack.hpp"
 #include "util/config.hpp"
 #include "util/format.hpp"
+#include "util/stats.hpp"
 
 using namespace peertrack;
 

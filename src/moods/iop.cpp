@@ -231,30 +231,4 @@ void IopStore::AdoptVisits(const hash::UInt160& object,
   }
 }
 
-IopStore::DwellStats IopStore::DwellStatistics() const {
-  DwellStats stats;
-  double sum = 0.0;
-  for (const auto& [object, visits] : visits_) {
-    for (const auto& visit : visits) {
-      if (!visit.to.has_value() || !visit.to->Valid() ||
-          !visit.to_arrived.has_value()) {
-        continue;  // Still open.
-      }
-      const double dwell = *visit.to_arrived - visit.arrived;
-      if (stats.completed_visits == 0) {
-        stats.min_ms = stats.max_ms = dwell;
-      } else {
-        stats.min_ms = std::min(stats.min_ms, dwell);
-        stats.max_ms = std::max(stats.max_ms, dwell);
-      }
-      ++stats.completed_visits;
-      sum += dwell;
-    }
-  }
-  if (stats.completed_visits > 0) {
-    stats.mean_ms = sum / static_cast<double>(stats.completed_visits);
-  }
-  return stats;
-}
-
 }  // namespace peertrack::moods

@@ -87,16 +87,6 @@ class IopStore {
   /// local inverse of L: "what is here?").
   std::vector<hash::UInt160> InventoryAt(Time at) const;
 
-  /// Dwell-time statistics over completed visits (departure - arrival);
-  /// open visits are excluded. (mean/min/max in ms, plus count).
-  struct DwellStats {
-    std::uint64_t completed_visits = 0;
-    double mean_ms = 0.0;
-    double min_ms = 0.0;
-    double max_ms = 0.0;
-  };
-  DwellStats DwellStatistics() const;
-
   // --- Graceful-leave handoff (see DESIGN.md §8) -----------------------
 
   /// Rewrite one link of the visit identified by (`object`, `arrived`):

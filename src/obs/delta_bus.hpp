@@ -198,11 +198,6 @@ class StateDeltaBus {
     recorder_ = recorder;
     ++active_;
   }
-  void DetachRecorder() {
-    if (recorder_ == nullptr) return;
-    recorder_ = nullptr;
-    --active_;
-  }
   FlightRecorder* recorder() const noexcept { return recorder_; }
 
   /// Claim the staging buffers (arms Active()). At most one consumer can

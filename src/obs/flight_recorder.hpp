@@ -17,11 +17,11 @@
 // ring slots are scattered across ~N*capacity records of memory, so
 // appending straight into them makes nearly every record a dependent cache
 // miss, while the batched drain overlaps those misses with software
-// prefetch. Cheap enough to leave
-// recording always on: ~13 ns/record measured end to end (append plus
-// amortized drain), ~1.5% of the canonical perf_smoke run. The wall-clock
-// A/B harness verifies the ~2% throughput contract; the perf gate's
-// obs.recorder.* attribution is the coarser always-on backstop.
+// prefetch. A tight-loop microbench measures ~13 ns/record (append plus
+// amortized drain), but a same-seed A/B of perf_smoke on the bare stack
+// (S=1, profiler and monitor off, 4-core host) measured +17.7% and +22.1%
+// index wall with recording on. No gate runs that A/B (ROADMAP item 6);
+// the perf gate only caps the profiled obs.recorder.* attribution at 5%.
 //
 // On a trigger (violation opened, query failed its oracle check, harness
 // assert) the recorder dumps a *forensic bundle*: the last N events of the

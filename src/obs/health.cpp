@@ -1,6 +1,5 @@
 #include "obs/health.hpp"
 
-#include <fstream>
 #include <unordered_set>
 
 #include "util/format.hpp"
@@ -180,13 +179,6 @@ std::string HealthReport::ToJson() const {
   }
   json += "\n  ]\n}\n";
   return json;
-}
-
-bool HealthReport::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << ToJson();
-  return static_cast<bool>(out);
 }
 
 std::string HealthReport::SummaryTable() const {

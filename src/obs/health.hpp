@@ -190,7 +190,6 @@ struct HealthReport {
   /// trigger event id, cause id, cause tree) for violations the flight
   /// recorder dumped.
   std::string ToJson() const;
-  bool WriteJson(const std::string& path) const;
 
   /// Column-aligned per-check table plus a one-line verdict.
   std::string SummaryTable() const;

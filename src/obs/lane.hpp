@@ -6,9 +6,9 @@
 // histograms, the delta bus, the flight recorder, metrics) are
 // lane-striped: each writer thread appends to its own lane, and readers
 // fold or walk the lanes in lane order at read time, in the control phase
-// while every worker is parked. The delta bus, the flight recorder and
-// sim::Metrics keep one entry per lane, lane 0 included, indexed by
-// CurrentLane().
+// while every worker is parked. The delta bus, the flight recorder,
+// sim::Metrics and the registry's counters and histograms keep one entry
+// per lane, lane 0 included, indexed by CurrentLane().
 //
 // The lane id lives here, below the rest of obs/, so every sink can route
 // on it without depending on the simulator layer. The coordinator thread

@@ -25,7 +25,8 @@ Histogram::Histogram(HistogramOptions options) : options_(options) {
   const double growth =
       std::exp2(1.0 / static_cast<double>(options_.buckets_per_octave));
   inv_log_growth_ = 1.0 / std::log(growth);
-  counts_.assign(options_.max_buckets, 0);
+  cells_.resize(1);
+  cells_[0].counts.assign(options_.max_buckets, 0);
 }
 
 std::size_t Histogram::BucketIndexFor(double value) const noexcept {
@@ -33,7 +34,7 @@ std::size_t Histogram::BucketIndexFor(double value) const noexcept {
   // value in [min * g^(i-1), min * g^i) => i = floor(log_g(value/min)) + 1.
   const double octaves = std::log(value / options_.min_bound) * inv_log_growth_;
   const auto index = static_cast<std::size_t>(octaves) + 1;
-  return std::min(index, counts_.size() - 1);
+  return std::min(index, options_.max_buckets - 1);
 }
 
 double Histogram::BucketLow(std::size_t bucket) const noexcept {
@@ -44,7 +45,7 @@ double Histogram::BucketLow(std::size_t bucket) const noexcept {
 }
 
 double Histogram::BucketHigh(std::size_t bucket) const noexcept {
-  if (bucket + 1 >= counts_.size()) {
+  if (bucket + 1 >= options_.max_buckets) {
     return std::numeric_limits<double>::infinity();
   }
   return options_.min_bound *
@@ -53,81 +54,82 @@ double Histogram::BucketHigh(std::size_t bucket) const noexcept {
 }
 
 void Histogram::EnableStriping(std::size_t lanes) {
-  if (lanes_ != nullptr || lanes <= 1) return;
-  lanes_ = std::make_unique<std::vector<std::unique_ptr<Histogram>>>();
-  lanes_->reserve(lanes - 1);
-  for (std::size_t i = 1; i < lanes; ++i) {
-    lanes_->push_back(std::make_unique<Histogram>(options_));
-  }
+  if (cells_.size() > 1 || lanes <= 1) return;
+  cells_.resize(lanes);
+  for (Cell& cell : cells_) cell.counts.resize(options_.max_buckets, 0);
 }
 
-void Histogram::FoldLanesImpl() noexcept {
-  for (const std::unique_ptr<Histogram>& lane : *lanes_) {
-    if (lane->count_ == 0) continue;
-    for (std::size_t b = 0; b < counts_.size(); ++b) {
-      counts_[b] += lane->counts_[b];
+void Histogram::FoldLanes() noexcept {
+  Cell& all = cells_[0];
+  for (std::size_t lane = 1; lane < cells_.size(); ++lane) {
+    Cell& cell = cells_[lane];
+    if (cell.count == 0) continue;
+    for (std::size_t b = 0; b < all.counts.size(); ++b) {
+      all.counts[b] += cell.counts[b];
     }
-    if (count_ == 0) {
-      min_ = lane->min_;
-      max_ = lane->max_;
+    if (all.count == 0) {
+      all.min = cell.min;
+      all.max = cell.max;
     } else {
-      min_ = std::min(min_, lane->min_);
-      max_ = std::max(max_, lane->max_);
+      all.min = std::min(all.min, cell.min);
+      all.max = std::max(all.max, cell.max);
     }
-    count_ += lane->count_;
-    sum_ += lane->sum_;
-    lane->Reset();
+    all.count += cell.count;
+    all.sum += cell.sum;
+    Clear(cell);
   }
 }
 
-void Histogram::AddSample(double value) noexcept {
+void Histogram::AddSample(Cell& cell, double value) const noexcept {
   if (value < 0.0) value = 0.0;
-  ++counts_[BucketIndexFor(value)];
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
+  ++cell.counts[BucketIndexFor(value)];
+  if (cell.count == 0) {
+    cell.min = value;
+    cell.max = value;
   } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+    cell.min = std::min(cell.min, value);
+    cell.max = std::max(cell.max, value);
   }
-  ++count_;
-  sum_ += value;
+  ++cell.count;
+  cell.sum += value;
 }
 
 double Histogram::Percentile(double p) const noexcept {
-  FoldLanes();
-  if (count_ == 0) return 0.0;
+  const Cell& all = Folded();
+  if (all.count == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   // Nearest-rank target, then linear interpolation inside the bucket.
-  const double target = std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(count_)));
+  const double target =
+      std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(all.count)));
   std::uint64_t cumulative = 0;
-  for (std::size_t bucket = 0; bucket < counts_.size(); ++bucket) {
-    if (counts_[bucket] == 0) continue;
+  for (std::size_t bucket = 0; bucket < all.counts.size(); ++bucket) {
+    if (all.counts[bucket] == 0) continue;
     const double before = static_cast<double>(cumulative);
-    cumulative += counts_[bucket];
+    cumulative += all.counts[bucket];
     if (static_cast<double>(cumulative) >= target) {
       const double fraction =
-          (target - before) / static_cast<double>(counts_[bucket]);
+          (target - before) / static_cast<double>(all.counts[bucket]);
       const double low = BucketLow(bucket);
-      const double high = bucket + 1 >= counts_.size()
-                              ? max_  // overflow bucket: cap at observed max
+      const double high = bucket + 1 >= all.counts.size()
+                              ? all.max  // overflow bucket: cap at observed max
                               : BucketHigh(bucket);
       const double value = low + fraction * (high - low);
-      return std::clamp(value, min_, max_);
+      return std::clamp(value, all.min, all.max);
     }
   }
-  return max_;
+  return all.max;
+}
+
+void Histogram::Clear(Cell& cell) noexcept {
+  std::fill(cell.counts.begin(), cell.counts.end(), 0);
+  cell.count = 0;
+  cell.sum = 0.0;
+  cell.min = 0.0;
+  cell.max = 0.0;
 }
 
 void Histogram::Reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  if (lanes_ != nullptr) {
-    for (const std::unique_ptr<Histogram>& lane : *lanes_) lane->Reset();
-  }
+  for (Cell& cell : cells_) Clear(cell);
 }
 
 void Registry::EnableStriping(std::size_t lanes) {

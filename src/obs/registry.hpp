@@ -99,35 +99,22 @@ class Histogram {
   explicit Histogram(HistogramOptions options = {});
 
   void Add(double value) noexcept {
-    if (lanes_ != nullptr) {
-      const std::uint32_t lane = CurrentLane();
-      if (lane != 0) {
-        (*lanes_)[lane - 1]->AddSample(value);
-        return;
-      }
-    }
-    AddSample(value);
+    AddSample(cells_[cells_.size() == 1 ? 0 : CurrentLane()], value);
   }
 
-  std::uint64_t Count() const noexcept {
-    FoldLanes();
-    return count_;
-  }
-  double Sum() const noexcept {
-    FoldLanes();
-    return sum_;
-  }
+  std::uint64_t Count() const noexcept { return Folded().count; }
+  double Sum() const noexcept { return Folded().sum; }
   double Mean() const noexcept {
-    FoldLanes();
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    const Cell& all = Folded();
+    return all.count ? all.sum / static_cast<double>(all.count) : 0.0;
   }
   double Min() const noexcept {
-    FoldLanes();
-    return count_ ? min_ : 0.0;
+    const Cell& all = Folded();
+    return all.count ? all.min : 0.0;
   }
   double Max() const noexcept {
-    FoldLanes();
-    return count_ ? max_ : 0.0;
+    const Cell& all = Folded();
+    return all.count ? all.max : 0.0;
   }
 
   /// Percentile estimate for p in [0, 100]: locate the bucket holding the
@@ -140,10 +127,9 @@ class Histogram {
 
   // --- Bucket introspection (tests / renderers) ---------------------------
 
-  std::size_t BucketCount() const noexcept { return counts_.size(); }
+  std::size_t BucketCount() const noexcept { return options_.max_buckets; }
   std::uint64_t BucketValue(std::size_t bucket) const noexcept {
-    FoldLanes();
-    return counts_[bucket];
+    return Folded().counts[bucket];
   }
   /// Index of the bucket `value` falls into.
   std::size_t BucketIndexFor(double value) const noexcept;
@@ -156,25 +142,33 @@ class Histogram {
 
   void Reset() noexcept;
 
-  /// One private child histogram per non-zero lane; reads destructively
-  /// fold children into the base (coordinator-only, workers parked).
+  /// One private cell per writer lane, lane 0 included; reads destructively
+  /// fold lanes 1..S-1 into lane 0 (coordinator-only, workers parked).
+  /// Idempotent.
   void EnableStriping(std::size_t lanes);
 
  private:
-  void AddSample(double value) noexcept;
-  void FoldLanes() const noexcept {
-    if (lanes_ != nullptr) const_cast<Histogram*>(this)->FoldLanesImpl();
+  /// One writer lane's samples.
+  struct alignas(64) Cell {
+    std::vector<std::uint64_t> counts;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+  };
+
+  void AddSample(Cell& cell, double value) const noexcept;
+  static void Clear(Cell& cell) noexcept;
+  /// Lane 0 after folding every other lane into it.
+  const Cell& Folded() const noexcept {
+    if (cells_.size() > 1) const_cast<Histogram*>(this)->FoldLanes();
+    return cells_[0];
   }
-  void FoldLanesImpl() noexcept;
+  void FoldLanes() noexcept;
 
   HistogramOptions options_;
   double inv_log_growth_ = 0.0;  ///< 1 / ln(growth), cached for BucketIndexFor.
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::unique_ptr<std::vector<std::unique_ptr<Histogram>>> lanes_;
+  std::vector<Cell> cells_;      ///< Indexed by CurrentLane() once striped.
 };
 
 /// Name -> instrument. Creation is implicit on first Get*; asking for an
@@ -192,7 +186,6 @@ class Registry {
   /// (workers may intern new names mid-window). Gauges stay unstriped —
   /// they are coordinator-written by contract. Idempotent.
   void EnableStriping(std::size_t lanes);
-  bool Striped() const noexcept { return lanes_ != 0; }
 
   /// Value of a counter, 0 when it was never created.
   std::uint64_t CounterValue(std::string_view name) const noexcept;

@@ -13,7 +13,8 @@
 //   moods::*                  — the MOODS moving-object model, IOP store,
 //                               receptors, and the ground-truth oracle.
 //   central::CentralTracker   — the centralized-warehouse baseline.
-//   estimate::*               — gossip network-size estimation (drives Lp).
+//   estimate::*               — gossip network-size estimation (not wired
+//                               into Lp yet; ROADMAP item 3).
 //   obs::InvariantMonitor     — continuous ring/IOP/triangle health auditing
 //                               with repair-latency metrics.
 //   workload::*               — EPC ids, arrival processes, movement plans.
@@ -24,10 +25,7 @@
 #include "hash/keyspace.hpp"
 #include "moods/oracle.hpp"
 #include "moods/receptor.hpp"
-#include "moods/snapshot.hpp"
 #include "obs/invariants.hpp"
-#include "tracking/audit.hpp"
-#include "tracking/prediction.hpp"
 #include "tracking/tracking_system.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/epc.hpp"

@@ -1,8 +1,8 @@
 #pragma once
 // Request/response RPC on top of sim::Network.
 //
-// Every query-style exchange in the repo (chord lookup steps, DHT get/put,
-// trace probes, IOP walks, flood probes, gossip push-pull) is a request
+// Every query-style exchange in the repo (chord lookup steps, trace probes,
+// IOP walks, flood probes, gossip push-pull) is a request
 // that expects exactly one response. This layer centralizes what each
 // protocol used to hand-roll: correlation ids matching responses to
 // outstanding calls, per-call deadlines on the Simulator, and retry with

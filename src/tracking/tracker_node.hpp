@@ -177,8 +177,8 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
     std::vector<TraceStep> path;///< Visits sorted by arrival time.
     /// The IOP walk hit a dead link (a visit pointing at a node that could
     /// not produce the referenced record) and degraded to a partial path.
-    /// `ok` stays true when some steps were collected; auditors treat this
-    /// as a broken chain (TraceAuditor::AnomalyKind::kMissingLink).
+    /// `ok` stays true when some steps were collected, so callers must
+    /// check this flag to tell a partial path from a complete one.
     bool chain_broken = false;
     moods::Time issued_at = 0.0;
     moods::Time completed_at = 0.0;

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include "util/format.hpp"
-
 namespace peertrack::util {
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path, std::ios::trunc) {}
@@ -23,13 +21,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
     out_ << Escape(cells[i]);
   }
   out_ << '\n';
-}
-
-void CsvWriter::WriteNumericRow(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(FormatDouble(v, precision));
-  WriteRow(cells);
 }
 
 }  // namespace peertrack::util

@@ -16,7 +16,6 @@ class CsvWriter {
   bool IsOpen() const { return out_.is_open(); }
 
   void WriteRow(const std::vector<std::string>& cells);
-  void WriteNumericRow(const std::vector<double>& values, int precision = 6);
 
  private:
   static std::string Escape(const std::string& cell);

@@ -43,8 +43,6 @@ double RunningStats::Variance() const noexcept {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }
 
-double RunningStats::StdDev() const noexcept { return std::sqrt(Variance()); }
-
 double Percentiles::Percentile(double p) {
   if (samples_.empty()) return 0.0;
   if (!sorted_) {

@@ -2,7 +2,7 @@
 // Streaming statistics, histograms, and load-balance metrics.
 //
 // These back every number the benchmark harnesses print: RunningStats for
-// means/stddevs (Welford, numerically stable), Percentiles for latency
+// means/variances (Welford, numerically stable), Percentiles for latency
 // distributions, Histogram for hop-count shapes, and LorenzCurve/Gini for
 // the Fig. 8a load-balance reproduction.
 
@@ -23,7 +23,6 @@ class RunningStats {
   std::size_t Count() const noexcept { return count_; }
   double Mean() const noexcept { return count_ ? mean_ : 0.0; }
   double Variance() const noexcept;   ///< Sample variance (n-1 denominator).
-  double StdDev() const noexcept;
   double Min() const noexcept { return count_ ? min_ : 0.0; }
   double Max() const noexcept { return count_ ? max_ : 0.0; }
   double Sum() const noexcept { return sum_; }

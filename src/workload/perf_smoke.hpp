@@ -69,7 +69,7 @@ struct PerfSmokeParams {
 
   /// Flight recorder ring capacity per actor (obs::FlightRecorder). On by
   /// default: the canonical BENCH.json numbers include always-on recording,
-  /// and the perf gate holds its overhead under the 2% budget. 0 disables
+  /// and the perf gate caps its profiled attribution at 5%. 0 disables
   /// recording entirely (A/B leg for the overhead measurement). Recording
   /// never schedules sim events, so same-seed runs stay bit-identical
   /// whether it is on or off.

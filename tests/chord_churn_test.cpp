@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "chord/chord_ring.hpp"
 #include "util/format.hpp"
 
@@ -27,6 +29,20 @@ class ChurnFixture {
   sim::ConstantLatency latency_;
   sim::Network net_;
   ChordRing ring_;
+};
+
+// Records every range-transfer hand-off the node's app is told about.
+struct RecordingApp final : ChordNode::AppHandler {
+  struct Transfer {
+    Key lo;
+    Key hi;
+    NodeRef new_owner;
+  };
+  std::vector<Transfer> transfers;
+  void OnAppMessage(sim::ActorId, std::unique_ptr<sim::Message>) override {}
+  void OnRangeTransfer(const Key& lo, const Key& hi, const NodeRef& new_owner) override {
+    transfers.push_back({lo, hi, new_owner});
+  }
 };
 
 TEST(ChordChurn, ProtocolBootstrapConverges) {
@@ -116,14 +132,6 @@ TEST(ChordChurn, LookupsStayCorrectAfterChurn) {
 TEST(ChordChurn, RangeTransferFiresOnJoin) {
   // When a predecessor joins, the successor's app is told which range it
   // lost (the hook the tracking layer uses to re-home index entries).
-  struct RecordingApp final : ChordNode::AppHandler {
-    std::vector<std::pair<Key, Key>> transfers;
-    void OnAppMessage(sim::ActorId, std::unique_ptr<sim::Message>) override {}
-    void OnRangeTransfer(const Key& lo, const Key& hi, const NodeRef&) override {
-      transfers.emplace_back(lo, hi);
-    }
-  };
-
   ChurnFixture f;
   for (int i = 0; i < 6; ++i) f.ring_.AddNode(util::Format("r-{}", i));
   f.ring_.ProtocolBootstrap(20000.0);
@@ -145,6 +153,34 @@ TEST(ChordChurn, RangeTransferFiresOnJoin) {
   // checking the successor already adopted the first newcomer.
   ASSERT_TRUE(successor->Predecessor().has_value());
   EXPECT_EQ(successor->Predecessor()->actor, newcomer.Self().actor);
+}
+
+TEST(ChordChurn, RangeTransferFiresOnLeave) {
+  // A graceful leave hands the leaver's whole range (pred, self] to its
+  // successor before the node goes (the hook the tracking layer uses to
+  // re-home index entries on the way out).
+  ChurnFixture f;
+  for (int i = 0; i < 6; ++i) f.ring_.AddNode(util::Format("l-{}", i));
+  f.ring_.ProtocolBootstrap(20000.0);
+  ASSERT_TRUE(f.ring_.IsConverged());
+
+  ChordNode& leaver = f.ring_.Node(2);
+  ASSERT_TRUE(leaver.Predecessor().has_value());
+  const NodeRef pred = *leaver.Predecessor();
+  const NodeRef successor = leaver.Successor();
+  ASSERT_NE(successor.actor, leaver.Self().actor);
+  RecordingApp app;
+  leaver.SetAppHandler(&app);
+  leaver.Leave();
+
+  ASSERT_EQ(app.transfers.size(), 1u);
+  EXPECT_EQ(app.transfers[0].lo, pred.id);
+  EXPECT_EQ(app.transfers[0].hi, leaver.Self().id);
+  EXPECT_EQ(app.transfers[0].new_owner, successor);
+
+  f.Settle(20000.0);
+  EXPECT_TRUE(f.ring_.IsConverged());
+  EXPECT_EQ(app.transfers.size(), 1u);  // A departed node hands off once.
 }
 
 }  // namespace

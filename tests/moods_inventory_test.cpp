@@ -1,4 +1,4 @@
-// Local inventory ("what is here?") and dwell-time statistics over IOP.
+// Local inventory ("what is here?") over IOP.
 
 #include <gtest/gtest.h>
 
@@ -42,28 +42,6 @@ TEST(Inventory, RevisitCountsCurrentVisitOnly) {
 
   EXPECT_TRUE(store.InventoryAt(100.0).empty());
   EXPECT_EQ(store.InventoryAt(250.0).size(), 1u);
-}
-
-TEST(Dwell, StatsOverCompletedVisits) {
-  IopStore store;
-  store.RecordArrival(Obj(1), 0.0);
-  store.SetTo(Obj(1), Node(2), 100.0);   // Dwell 100.
-  store.RecordArrival(Obj(2), 0.0);
-  store.SetTo(Obj(2), Node(2), 300.0);   // Dwell 300.
-  store.RecordArrival(Obj(3), 0.0);      // Open: excluded.
-
-  const auto stats = store.DwellStatistics();
-  EXPECT_EQ(stats.completed_visits, 2u);
-  EXPECT_DOUBLE_EQ(stats.mean_ms, 200.0);
-  EXPECT_DOUBLE_EQ(stats.min_ms, 100.0);
-  EXPECT_DOUBLE_EQ(stats.max_ms, 300.0);
-}
-
-TEST(Dwell, EmptyStoreIsZero) {
-  IopStore store;
-  const auto stats = store.DwellStatistics();
-  EXPECT_EQ(stats.completed_visits, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_ms, 0.0);
 }
 
 TEST(Inventory, EndToEndMatchesOracle) {

@@ -1,10 +1,12 @@
 // Unit tests for the typed metric instruments: counter/gauge basics,
-// log-bucket boundary math, percentile estimation, and registry identity.
+// log-bucket boundary math, percentile estimation, lane-striped folding and
+// registry identity.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "obs/lane.hpp"
 #include "obs/registry.hpp"
 
 namespace peertrack::obs {
@@ -141,6 +143,82 @@ TEST(Histogram, CustomOptionsRespected) {
   EXPECT_EQ(h.BucketIndexFor(1.0), 1u);   // [1, 2)
   EXPECT_EQ(h.BucketIndexFor(3.0), 2u);   // [2, 4)
   EXPECT_EQ(h.BucketIndexFor(1000.0), 7u);
+}
+
+// Quarter-integer samples keep every partial sum exact, so the order in
+// which lanes fold cannot change Sum().
+double StripeSample(int i) { return 0.25 * (1 + (i * 37) % 1000); }
+
+void ExpectSameHistogram(const Histogram& striped, const Histogram& plain) {
+  EXPECT_EQ(striped.Count(), plain.Count());
+  EXPECT_DOUBLE_EQ(striped.Sum(), plain.Sum());
+  EXPECT_DOUBLE_EQ(striped.Min(), plain.Min());
+  EXPECT_DOUBLE_EQ(striped.Max(), plain.Max());
+  EXPECT_DOUBLE_EQ(striped.P50(), plain.P50());
+  EXPECT_DOUBLE_EQ(striped.P99(), plain.P99());
+  for (std::size_t b = 0; b < plain.BucketCount(); ++b) {
+    EXPECT_EQ(striped.BucketValue(b), plain.BucketValue(b)) << "bucket " << b;
+  }
+}
+
+TEST(Histogram, StripedLanesFoldLikeOneLane) {
+  Histogram plain;
+  Histogram striped;
+  striped.EnableStriping(4);
+  for (int i = 0; i < 400; ++i) {
+    plain.Add(StripeSample(i));
+    LaneScope lane(static_cast<std::uint32_t>(i % 4));
+    striped.Add(StripeSample(i));
+  }
+  // The extremes sit outside lane 0, so the fold must carry min and max.
+  plain.Add(0.0);
+  plain.Add(300.0);
+  {
+    LaneScope lane(2);
+    striped.Add(0.0);
+  }
+  {
+    LaneScope lane(3);
+    striped.Add(300.0);
+  }
+  ExpectSameHistogram(striped, plain);
+  ExpectSameHistogram(striped, plain);  // The first read's fold is stable.
+
+  // Samples written after a fold land in the lanes again and fold again.
+  for (int i = 400; i < 500; ++i) {
+    plain.Add(StripeSample(i));
+    LaneScope lane(static_cast<std::uint32_t>(3 - i % 4));
+    striped.Add(StripeSample(i));
+  }
+  ExpectSameHistogram(striped, plain);
+
+  // Reset clears every lane, including ones written but not yet folded.
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    LaneScope scope(lane);
+    striped.Add(7.0);
+  }
+  striped.Reset();
+  ExpectSameHistogram(striped, Histogram{});
+}
+
+TEST(Counter, StripedLanesFoldLikeOneLane) {
+  Counter plain;
+  Counter striped;
+  striped.EnableStriping(4);
+  for (int i = 0; i < 400; ++i) {
+    plain.Add(static_cast<std::uint64_t>(i));
+    LaneScope lane(static_cast<std::uint32_t>(i % 4));
+    striped.Add(static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(striped.Value(), plain.Value());
+  EXPECT_EQ(striped.Value(), plain.Value());
+
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    LaneScope scope(lane);
+    striped.Add(7);
+  }
+  striped.ResetValue();
+  EXPECT_EQ(striped.Value(), 0u);
 }
 
 TEST(Registry, SameNameSameInstrument) {
