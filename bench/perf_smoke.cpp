@@ -61,8 +61,11 @@
 // by the StateDeltaBus, with every Nth scan (--full-sweep-every) promoted
 // to a full cross-check sweep that must find nothing the incremental path
 // missed. Overhead and verdict land in BENCH.json under "invariants":
-// overhead_fraction = periodic scan wall / total wall, per-check wall
-// times, and final_sweep_ms for the forced settled sweep that runs after
+// overhead_fraction = (periodic scan + staged-delta drain) wall / total
+// wall, per-check wall times, peak_staged (the largest backlog any drain
+// found) and spills (drains between scans, when the backlog reached the
+// bus's staging cap), and final_sweep_ms for the forced settled sweep that
+// runs after
 // the timed phases (a verification step, not steady-state overhead —
 // violations and cross-check misses are read after it and still cover
 // it). Any violation or cross-check miss on this clean fixed-seed
@@ -294,6 +297,7 @@ std::string ReportJson(const PerfSmokeParams& params, const PerfSmokeReport& rep
   json += peertrack::util::Format(
       "  \"invariants\": {{\"enabled\": {}, \"mode\": \"{}\", \"scans\": {}, "
       "\"full_sweeps\": {}, \"deltas_routed\": {}, "
+      "\"peak_staged\": {}, \"spills\": {}, "
       "\"invariant_scan_ms\": {:.3f}, \"final_sweep_ms\": {:.3f}, "
       "\"overhead_fraction\": {:.4f}, "
       "\"violations\": {}, \"open\": {}, \"cross_check_misses\": {}, "
@@ -301,6 +305,7 @@ std::string ReportJson(const PerfSmokeParams& params, const PerfSmokeReport& rep
       params.invariants != InvariantMode::kOff ? "true" : "false",
       ModeName(params.invariants), report.invariant_scans,
       report.invariant_full_sweeps, report.invariant_deltas,
+      report.invariant_peak_staged, report.invariant_spills,
       report.invariant_scan_ms, report.invariant_final_sweep_ms,
       overhead_fraction, report.invariant_violations,
       report.invariant_open, report.invariant_cross_check_misses);

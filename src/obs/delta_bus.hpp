@@ -22,14 +22,26 @@
 // delta itself to the calling thread's lane buffer (obs/lane.hpp: lane 0
 // un-sharded and on the coordinator, the shard id inside a parallel
 // window) — no indirect call, no hashing, no shared vector between shard
-// threads, plus one OR into the lane's staged-kinds mask. The consumer
-// walks the lanes once per scan, while the workers are parked: the
-// monitor's tracking drain walks them once per key partition, each
-// partition on its own parked shard thread applying only its own keys'
-// deltas, and a consumer of rare kinds skips lanes whose mask holds none
-// of them. Lanes are not merged in time order, and need not be: the monitor's mark operations commute (MarkAll dominates, Defer
-// min-merges, Mark is idempotent), and its one order-sensitive structure,
-// the index site mirror, is a superset hint pruned against live state.
+// threads, plus one OR into the lane's staged-kinds mask.
+//
+// Staging is bounded. The consumer drains the backlog into its marks
+// whenever it passes kStagingCap, not once per scan, so staging memory no
+// longer grows with the scan period. It is drained at the first point
+// where no window runs, from one of two triggers: Publish itself, when
+// its lane reaches the cap outside a window (every publish of an
+// un-sharded run; the coordinator and control phases of a sharded one),
+// through the consumer's spill hook; and the shard engine's window
+// epilogue, once the workers park after a window. A drain walks the lanes
+// while the workers are parked: the monitor's tracking drain walks them
+// once per key partition, each partition on its own parked shard thread
+// applying only its own keys' deltas, and a consumer of rare kinds skips
+// lanes whose mask holds none of them. Lanes are not merged in time
+// order, and a backlog may be drained in several chunks per scan; neither
+// matters: the monitor's mark operations commute (MarkAll dominates,
+// Defer min-merges, Mark is idempotent), and its one order-sensitive
+// structure, the index site mirror, only grows in a drain and is a
+// superset hint pruned against live state. What staging still holds at
+// its peak is one window's burst, which no trigger can split.
 //
 // With no consumer the bus is inert: publishers guard with Active(), so a
 // run without an incremental monitor pays one predictable branch per
@@ -37,6 +49,7 @@
 // only on the hash layer.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "hash/keyspace.hpp"
@@ -159,29 +172,21 @@ class StateDeltaBus {
   ///   if (bus != nullptr && bus->Active()) bus->Publish(...);
   bool Active() const noexcept { return active_ > 0; }
 
+  /// Deltas a lane may stage outside a parallel window before the spill
+  /// hook drains the backlog: 2^17 records of 56 B, 7 MiB per lane.
+  static constexpr std::size_t kStagingCap = std::size_t{1} << 17;
+
   void Publish(const StateDelta& delta) {
-    // Covers the recorder mirror and the staging append, so per-mutation
-    // bookkeeping cost is attributable separate from the scans that drain
-    // it.
-    // Publishers guard with Active(), so inert runs never reach this
-    // scope. Leaf variant: this fires once per mutation (millions per run)
-    // and neither branch opens scopes of its own.
-    PROF_LEAF_SCOPE("bus", "publish");
-    if (recorder_ != nullptr) {
-      const auto kind = static_cast<std::uint8_t>(delta.kind);
-      recorder_->RecordState(
-          kind, delta.actor, delta.object,
-          delta.kind >= DeltaKind::kIopVisit &&
-              delta.kind <= DeltaKind::kObjectTruth,
-          delta.when);
-    }
-    if (staging_) {
-      Lane& lane = lanes_[CurrentLane()];
-      lane.staged.push_back(delta);
-      lane.kinds |= KindBit(delta.kind);
-    }
+    if (Stage(delta)) spill_();
   }
 
+  /// Drain hook of the staging consumer: Publish calls it, outside any
+  /// window, when the publishing lane reaches `cap` staged deltas. The hook
+  /// must leave the backlog cleared. EndStaging removes it.
+  void SetSpill(std::function<void()> spill, std::size_t cap) {
+    spill_ = std::move(spill);
+    spill_at_ = cap > 0 ? cap : 1;
+  }
   /// Bit of `kind` in a StagedKinds() mask.
   static constexpr std::uint32_t KindBit(DeltaKind kind) noexcept {
     static_assert(static_cast<unsigned>(DeltaKind::kHandoffFinished) < 32,
@@ -209,11 +214,13 @@ class StateDeltaBus {
     return true;
   }
 
-  /// Release the staging buffers and discard any undrained backlog.
+  /// Release the staging buffers, remove the spill hook and discard any
+  /// undrained backlog.
   void EndStaging() {
     if (!staging_) return;
     staging_ = false;
     --active_;
+    spill_ = nullptr;
     ClearStaged();
   }
 
@@ -232,8 +239,8 @@ class StateDeltaBus {
   }
 
   /// Lane count (1 until EnableLanes) and each lane's staged backlog in
-  /// publish order. The consumer walks the lanes in lane order between
-  /// scans (workers parked), then calls ClearStaged().
+  /// publish order. The consumer walks the lanes in lane order with every
+  /// worker parked, then calls ClearStaged().
   std::size_t Lanes() const noexcept { return lanes_.size(); }
   const std::vector<StateDelta>& Staged(std::size_t lane) const noexcept {
     return lanes_[lane].staged;
@@ -254,6 +261,30 @@ class StateDeltaBus {
   }
 
  private:
+  /// Append `delta` to the calling thread's lane (and mirror it into the
+  /// recorder); true when the spill hook is due. Covers the recorder mirror
+  /// and the staging append, so per-mutation bookkeeping cost is
+  /// attributable separate from the drains that consume it. Publishers
+  /// guard with Active(), so inert runs never reach this scope. Leaf
+  /// variant: this fires once per mutation (millions per run) and opens no
+  /// scope of its own — which is why the spill runs in Publish, after it.
+  bool Stage(const StateDelta& delta) {
+    PROF_LEAF_SCOPE("bus", "publish");
+    if (recorder_ != nullptr) {
+      const auto kind = static_cast<std::uint8_t>(delta.kind);
+      recorder_->RecordState(
+          kind, delta.actor, delta.object,
+          delta.kind >= DeltaKind::kIopVisit &&
+              delta.kind <= DeltaKind::kObjectTruth,
+          delta.when);
+    }
+    if (!staging_) return false;
+    Lane& lane = lanes_[CurrentLane()];
+    lane.staged.push_back(delta);
+    lane.kinds |= KindBit(delta.kind);
+    return lane.staged.size() >= spill_at_ && !InWindow() && spill_;
+  }
+
   /// Cache-line aligned: shard threads grow neighbouring lanes at once.
   struct alignas(64) Lane {
     std::vector<StateDelta> staged;
@@ -263,6 +294,8 @@ class StateDeltaBus {
   std::size_t active_ = 0;
   FlightRecorder* recorder_ = nullptr;
   bool staging_ = false;
+  std::function<void()> spill_;
+  std::size_t spill_at_ = kStagingCap;
   std::vector<Lane> lanes_ = std::vector<Lane>(1);
 };
 

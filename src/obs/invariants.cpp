@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "obs/explain.hpp"
 #include "obs/export.hpp"  // BoundedPeriodicSchedule.
 #include "obs/mark_set.hpp"
+#include "sim/shard_engine.hpp"
 #include "tracking/tracking_system.hpp"
 #include "util/flat_hash.hpp"
 #include "util/format.hpp"
@@ -33,7 +35,8 @@ InvariantMonitor::InvariantMonitor(sim::Simulator& simulator, Registry& registry
       repair_all_(registry.GetHistogram("invariant.repair_ms")) {}
 
 InvariantMonitor::~InvariantMonitor() {
-  if (bus_ != nullptr) bus_->EndStaging();
+  if (engine_ != nullptr) engine_->SetWindowEpilogue(nullptr);
+  if (bus_ != nullptr) bus_->EndStaging();  // Also removes the spill hook.
 }
 
 bool InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
@@ -41,8 +44,45 @@ bool InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
   if (bus_ != nullptr) return true;  // Already incremental; keep the first bus.
   if (!bus.BeginStaging()) return false;
   bus_ = &bus;
+  bus.SetSpill([this] { Spill(/*after_window=*/false); }, staging_cap_);
   full_sweep_every_n_ = std::max<std::uint32_t>(full_sweep_every_n_ticks, 1);
   return true;
+}
+
+void InvariantMonitor::SetStagingCap(std::size_t deltas) {
+  assert(bus_ == nullptr && "set the staging cap before EnableIncremental");
+  staging_cap_ = std::max<std::size_t>(deltas, 1);
+}
+
+void InvariantMonitor::SpillAfterWindows(sim::ShardEngine& engine) {
+  engine_ = &engine;
+  engine.SetWindowEpilogue([this] {
+    if (bus_ != nullptr && bus_->StagedCount() >= staging_cap_) {
+      Spill(/*after_window=*/true);
+    }
+  });
+}
+
+void InvariantMonitor::Spill(bool after_window) {
+  ++staging_.spills;
+  if (after_window) ++staging_.barrier_spills;
+  DrainStaged();
+}
+
+void InvariantMonitor::DrainStaged() {
+  if (bus_ == nullptr) return;
+  const std::uint64_t staged = bus_->StagedCount();
+  if (staged == 0) return;
+  assert(!partitioned_ && "a drain inside a partitioned pass re-enters it");
+  PROF_SCOPE("invariant", "drain");
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (const StageDrain& drain : drains_) drain(*bus_);
+  bus_->ClearStaged();
+  pending_routed_ += staged;
+  staging_.peak_staged = std::max(staging_.peak_staged, staged);
+  scan_wall_ms_ += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
 }
 
 void CheckContext::SortFindings() {
@@ -56,6 +96,10 @@ void CheckContext::SortFindings() {
             });
 }
 
+void InvariantMonitor::AddStageDrain(StageDrain drain) {
+  drains_.push_back(std::move(drain));
+}
+
 void InvariantMonitor::AddScanPhase(ScanPhase phase) {
   phases_.push_back(std::move(phase));
 }
@@ -67,11 +111,13 @@ void InvariantMonitor::SetFanOut(std::uint32_t partitions, FanOut run) {
 
 void InvariantMonitor::RunPartitioned(
     const std::function<void(std::uint32_t)>& fn) const {
+  partitioned_ = true;
   if (fan_out_) {
     fan_out_(fn);
-    return;
+  } else {
+    for (std::uint32_t p = 0; p < partitions_; ++p) fn(p);
   }
-  for (std::uint32_t p = 0; p < partitions_; ++p) fn(p);
+  partitioned_ = false;
 }
 
 void InvariantMonitor::AddScanEpilogue(std::function<void(double)> epilogue) {
@@ -101,25 +147,22 @@ void InvariantMonitor::Start(double period_ms, double until_ms) {
 
 void InvariantMonitor::RunOnce(bool force_full_sweep) {
   PROF_SCOPE("invariant", "scan");
+  // Route what is still staged into the marks, so the scan sees every
+  // delta published before it; the drains that ran since the last scan
+  // are counted in with it. DrainStaged times itself into scan_wall_ms_.
+  DrainStaged();
+  deltas_routed_ += pending_routed_;
+  pending_routed_ = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   const double now = simulator_.Now();
   const bool incremental = bus_ != nullptr;
   const bool full_pass = !incremental || force_full_sweep ||
                          scans_ % full_sweep_every_n_ == 0;
   if (full_pass) ++full_sweeps_;
-  // The phases route the staged mutation backlog into the installers' mark
-  // sets in one batch and run the key-partitioned audit passes; the backlog
-  // is cleared afterwards (with no phase installed too, so it cannot grow
-  // without bound). Inside wall_start on purpose: draining is monitor
-  // overhead and must count against overhead_fraction.
-  const StateDeltaBus* backlog =
-      bus_ != nullptr && bus_->StagedCount() > 0 ? bus_ : nullptr;
-  if (backlog != nullptr) deltas_routed_ += backlog->StagedCount();
   {
     const CheckContext scan(now, full_pass, incremental);
-    for (const ScanPhase& phase : phases_) phase(backlog, scan);
+    for (const ScanPhase& phase : phases_) phase(scan);
   }
-  if (backlog != nullptr) bus_->ClearStaged();
   for (auto& check_ptr : checks_) {
     Check& check = *check_ptr;
     CheckContext context(now, full_pass, incremental);
@@ -758,13 +801,12 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
       StateDeltaBus::KindBit(DeltaKind::kHandoffFinished) |
       StateDeltaBus::KindBit(DeltaKind::kRingNeighbors) |
       StateDeltaBus::KindBit(DeltaKind::kRingFinger);
-  monitor.AddScanPhase([neighbor_marks, finger_marks](
-                           const StateDeltaBus* backlog, const CheckContext&) {
-    if (backlog == nullptr) return;
+  monitor.AddStageDrain([neighbor_marks,
+                         finger_marks](const StateDeltaBus& backlog) {
     PROF_SCOPE("invariant", "ring_drain");
-    for (std::size_t lane = 0; lane < backlog->Lanes(); ++lane) {
-      if ((backlog->StagedKinds(lane) & kRingKinds) == 0) continue;
-      for (const StateDelta& d : backlog->Staged(lane)) {
+    for (std::size_t lane = 0; lane < backlog.Lanes(); ++lane) {
+      if ((backlog.StagedKinds(lane) & kRingKinds) == 0) continue;
+      for (const StateDelta& d : backlog.Staged(lane)) {
         switch (d.kind) {
           case DeltaKind::kMembership:
           case DeltaKind::kHandoffFinished:
@@ -1477,14 +1519,16 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   // The fan-out that runs the key-partitioned phases: the system's shard
   // engine unless the caller set one (DESIGN.md §8.2). At S=1 it is one
   // partition, run inline.
+  sim::ShardEngine* engine = system.engine();
   if (!monitor.HasFanOut()) {
-    sim::ShardEngine* engine = system.engine();
     monitor.SetFanOut(
         static_cast<std::uint32_t>(engine->ShardCount()),
         [engine](const std::function<void(std::uint32_t)>& fn) {
           engine->RunOnShards(fn);
         });
   }
+  // A burst staged inside shard windows is drained once they park.
+  if (monitor.IncrementalEnabled()) monitor.SpillAfterWindows(*engine);
   const std::uint32_t partitions = monitor.Partitions();
   auto shared = std::make_shared<TrackShared>();
   auto view = std::make_shared<RingView>();
@@ -2124,21 +2168,26 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
                      emit_objects(sub_repl));
   }
 
-  // The scan's key-partitioned phase: partition p drains the backlog into
-  // its own marks and mirror, then runs its visit and object passes, on
-  // shard p's parked thread. The replication precompute is built first,
-  // serially, and only read by the partitions.
+  // The key-partitioned halves: partition p drains the backlog into its
+  // own marks and mirror whenever the monitor drains (several times a scan
+  // period when the backlog passes the staging cap), and at scan time runs
+  // its visit and object passes; both on shard p's parked thread. The
+  // replication precompute is built first, serially, and only read by the
+  // partitions.
+  monitor.AddStageDrain([shared, mon](const StateDeltaBus& backlog) {
+    mon->RunPartitioned([&](std::uint32_t p) {
+      DrainTracking(*shared->parts[p], *shared, backlog);
+    });
+  });
   const bool replicated =
       fuse_objects && system.config().tracker.replicate_index;
   monitor.AddScanPhase([shared, sys, mon, replicated, enumerate_visits,
-                        enumerate_objects, judge_visits, judge_objects](
-                           const StateDeltaBus* backlog,
-                           const CheckContext& scan) {
+                        enumerate_objects, judge_visits,
+                        judge_objects](const CheckContext& scan) {
     if (replicated) EnsureReplication(shared->repl, mon->ScansRun(), *sys);
     mon->RunPartitioned([&](std::uint32_t p) {
       PROF_SCOPE("invariant", "partition");
       TrackPart& part = *shared->parts[p];
-      if (backlog != nullptr) DrainTracking(part, *shared, *backlog);
       if (part.visits != nullptr) {
         part.visits->RunPass(
             scan, mon->ledger(),

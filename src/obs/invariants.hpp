@@ -39,6 +39,9 @@
 namespace peertrack::chord {
 class ChordRing;
 }
+namespace peertrack::sim {
+class ShardEngine;
+}
 namespace peertrack::tracking {
 class TrackingSystem;
 }
@@ -124,28 +127,54 @@ class InvariantMonitor {
 
   /// Switch to event-driven auditing: claim `bus`'s staging buffers (which
   /// arms the publishers' Active() guard) so mutations append compact PODs
-  /// there, and hand the backlog to the installers' scan phases at the
-  /// top of every scan. Regular ticks then audit only dirty/watched
-  /// subjects; every `full_sweep_every_n_ticks`-th scan still audits the
-  /// full universe as a cross-check, counting any finding the incremental
-  /// path would have missed (CrossCheckMisses() must stay 0). Returns false
-  /// — and the monitor stays in full mode — when another consumer already
-  /// holds the bus's staging. Call before Start(); `bus` must outlive the
-  /// monitor.
+  /// there, and route the backlog into the installers' marks through
+  /// DrainStaged — at the top of every scan, and between scans whenever
+  /// it passes the staging cap (the bus's spill hook; see
+  /// SpillAfterWindows for sharded runs). Regular ticks then audit only
+  /// dirty/watched subjects; every `full_sweep_every_n_ticks`-th scan still
+  /// audits the full universe as a cross-check, counting any finding the
+  /// incremental path would have missed (CrossCheckMisses() must stay 0).
+  /// Returns false — and the monitor stays in full mode — when another
+  /// consumer already holds the bus's staging. Call before Start(); `bus`
+  /// must outlive the monitor.
   bool EnableIncremental(StateDeltaBus& bus,
                          std::uint32_t full_sweep_every_n_ticks = 10);
   bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
 
-  /// Register a scan phase (one per installer). Phases run at the top of
-  /// every scan, in registration order, before any check. `backlog` is the
-  /// bus holding the staged deltas to route into the installer's mark sets
-  /// (null in full mode or when nothing is staged); the monitor clears the
-  /// backlog after the last phase, so this is the only way deltas reach the
-  /// checks. `scan` carries the scan's sim time and pass flags; findings
-  /// go to the checks' own contexts, never to it. A phase may run
+  /// Test seam: drain whenever the backlog reaches `deltas` instead of
+  /// StateDeltaBus::kStagingCap. Call before EnableIncremental.
+  void SetStagingCap(std::size_t deltas);
+
+  /// Register a stage drain (one per installer): route `backlog`'s staged
+  /// deltas into the installer's mark sets. DrainStaged runs every drain,
+  /// in registration order, then clears the backlog, so this is the only
+  /// way deltas reach the checks. A drain may run between scans, from
+  /// inside a protocol event or right after a shard window's barrier, so
+  /// it must touch monitor-owned state only, and it may run several times
+  /// per scan: its operations must commute across chunks. It may run
   /// key-partitioned work through RunPartitioned().
-  using ScanPhase =
-      std::function<void(const StateDeltaBus* backlog, const CheckContext& scan)>;
+  using StageDrain = std::function<void(const StateDeltaBus& backlog)>;
+  void AddStageDrain(StageDrain drain);
+
+  /// Route every staged delta into the installers' marks now and clear the
+  /// backlog. The routed count is held back until the next scan, so
+  /// DeltasRouted() and the delta-depth gauge move only at scans; the wall
+  /// time counts in ScanWallMs(). Never call it from inside a partitioned
+  /// pass.
+  void DrainStaged();
+
+  /// Sharded runs: drain from `engine`'s window epilogue whenever the
+  /// backlog has reached the staging cap, so a burst staged inside windows
+  /// is drained as soon as the workers park. `engine` must outlive the
+  /// monitor; the destructor clears the epilogue.
+  void SpillAfterWindows(sim::ShardEngine& engine);
+
+  /// Register a scan phase (one per installer). Phases run at the top of
+  /// every scan, after DrainStaged, in registration order, before any
+  /// check. `scan` carries the scan's sim time and pass flags; findings go
+  /// to the checks' own contexts, never to it. A phase may run
+  /// key-partitioned work through RunPartitioned().
+  using ScanPhase = std::function<void(const CheckContext& scan)>;
   void AddScanPhase(ScanPhase phase);
 
   /// Key-partitioned fan-out (DESIGN.md §8.2). `run(fn)` must call fn(p)
@@ -155,7 +184,8 @@ class InvariantMonitor {
   /// InstallTrackingChecks adopts the system's shard engine (one partition
   /// per shard, partition p on shard p's parked thread) unless a fan-out
   /// was set already; setting one first is how a single-shard test splits
-  /// its scan.
+  /// its scan. It also calls SpillAfterWindows on the engine when the
+  /// monitor is incremental.
   using FanOut =
       std::function<void(const std::function<void(std::uint32_t)>& fn)>;
   void SetFanOut(std::uint32_t partitions, FanOut run);
@@ -230,6 +260,14 @@ class InvariantMonitor {
   /// Total cross-check misses across checks (see CheckContext).
   std::uint64_t CrossCheckMisses() const noexcept { return cross_check_misses_; }
 
+  /// How the staged backlog was drained since EnableIncremental.
+  struct StagingStats {
+    std::uint64_t spills = 0;          ///< Drains run between scans.
+    std::uint64_t barrier_spills = 0;  ///< ...of which after a shard window.
+    std::uint64_t peak_staged = 0;     ///< Largest backlog any drain found.
+  };
+  const StagingStats& Staging() const noexcept { return staging_; }
+
  private:
   struct Check {
     std::string id;
@@ -252,6 +290,8 @@ class InvariantMonitor {
 
   void DumpForensics(const Check& check, const HealthLedger::Delta& delta,
                      double now);
+  /// A drain between scans, from either trigger.
+  void Spill(bool after_window);
 
   sim::Simulator& simulator_;
   Registry& registry_;
@@ -261,12 +301,20 @@ class InvariantMonitor {
   std::uint64_t opened_total_ = 0;
   double scan_wall_ms_ = 0.0;
   StateDeltaBus* bus_ = nullptr;  ///< Non-null once staging is claimed.
+  std::size_t staging_cap_ = StateDeltaBus::kStagingCap;
+  sim::ShardEngine* engine_ = nullptr;  ///< Set by SpillAfterWindows.
   std::uint32_t full_sweep_every_n_ = 10;
+  std::vector<StageDrain> drains_;
   std::vector<ScanPhase> phases_;
   std::uint32_t partitions_ = 1;
   FanOut fan_out_;
+  /// True while RunPartitioned fans out: a drain then would re-enter it.
+  mutable bool partitioned_ = false;
   std::vector<std::function<void(double)>> epilogues_;
   std::uint64_t deltas_routed_ = 0;
+  /// Deltas drained since the last scan, folded into deltas_routed_ there.
+  std::uint64_t pending_routed_ = 0;
+  StagingStats staging_;
   std::uint64_t full_sweeps_ = 0;
   std::uint64_t cross_check_misses_ = 0;
   std::uint64_t deltas_routed_at_last_scan_ = 0;

@@ -14,7 +14,10 @@
 // on it without depending on the simulator layer. The coordinator thread
 // and shard 0 share lane 0 (they never run concurrently — workers are
 // parked whenever coordinator code executes), so un-sharded runs never
-// see a lane other than 0.
+// see a lane other than 0. A second flag tells the two apart: InWindow()
+// is true only on a thread executing a shard window, so a sink that must
+// act with every worker parked (the delta bus's spill) can tell when it
+// is safe to.
 
 #include <cstdint>
 
@@ -22,6 +25,7 @@ namespace peertrack::obs {
 
 namespace detail {
 inline thread_local std::uint32_t tls_lane = 0;
+inline thread_local bool tls_window = false;
 }  // namespace detail
 
 /// Lane of the calling thread: the shard id inside a parallel window,
@@ -33,18 +37,30 @@ inline void SetCurrentLane(std::uint32_t lane) noexcept {
   detail::tls_lane = lane;
 }
 
+/// True while the calling thread executes a shard window (other shards may
+/// be running); false on the coordinator between windows, in a
+/// RunOnShards fan-out and in un-sharded runs.
+inline bool InWindow() noexcept { return detail::tls_window; }
+
 /// RAII lane switch; restores the previous lane on scope exit.
+/// sim::ShardEngine passes `window` = true around each shard window.
 class LaneScope {
  public:
-  explicit LaneScope(std::uint32_t lane) noexcept : prev_(CurrentLane()) {
+  explicit LaneScope(std::uint32_t lane, bool window = false) noexcept
+      : prev_(CurrentLane()), prev_window_(InWindow()) {
     SetCurrentLane(lane);
+    detail::tls_window = window;
   }
-  ~LaneScope() { SetCurrentLane(prev_); }
+  ~LaneScope() {
+    SetCurrentLane(prev_);
+    detail::tls_window = prev_window_;
+  }
   LaneScope(const LaneScope&) = delete;
   LaneScope& operator=(const LaneScope&) = delete;
 
  private:
   std::uint32_t prev_;
+  bool prev_window_;
 };
 
 }  // namespace peertrack::obs

@@ -128,7 +128,7 @@ void ShardEngine::RunShardWindow(std::uint32_t shard) {
   tls_.sim = shards_[shard];
   tls_.shard = shard;
   {
-    obs::LaneScope lane(shard);
+    obs::LaneScope lane(shard, /*window=*/true);
     shards_[shard]->RunWindow(window_end_, window_inclusive_);
   }
   tls_ = saved;
@@ -151,6 +151,7 @@ void ShardEngine::RunWindowParallel(Time w_end, bool inclusive) {
     parallel_.store(false, std::memory_order_relaxed);
   }
   ++windows_;
+  if (window_epilogue_) window_epilogue_();
 }
 
 void ShardEngine::RunOnShards(const std::function<void(std::uint32_t)>& fn) {

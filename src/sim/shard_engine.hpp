@@ -46,7 +46,8 @@
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route
 // correctly; their readers walk the lanes in the control phase, with
-// every shard parked.
+// every shard parked, or from the window epilogue that runs right after
+// each window's barrier.
 //
 // S=1 is a thread-free pass-through: no workers, no windows, and control()
 // is the root simulator itself, so Run/RunUntil are the root's own (drain
@@ -125,6 +126,15 @@ class ShardEngine {
   /// that only read protocol state, so cross-actor reads from it are not
   /// colocation breaches. At S=1 this is `fn(0)` inline.
   void RunOnShards(const std::function<void(std::uint32_t)>& fn);
+
+  /// Run `fn` on the coordinator after every parallel window, once every
+  /// worker has parked and before the mailboxes drain — the point where a
+  /// consumer of lane-striped sinks may drain them mid-run (the invariant
+  /// monitor's staged deltas). `fn` may call RunOnShards. One slot;
+  /// nullptr clears it. Coordinator phase only.
+  void SetWindowEpilogue(std::function<void()> fn) {
+    window_epilogue_ = std::move(fn);
+  }
 
   /// Stage a cross-shard action from inside a parallel window. The source
   /// shard is the calling thread's shard. Deliveries below the current
@@ -215,6 +225,7 @@ class ShardEngine {
   const std::function<void(std::uint32_t)>* task_ = nullptr;
   bool quit_ = false;
   std::atomic<bool> parallel_{false};
+  std::function<void()> window_epilogue_;
 
   std::uint64_t windows_ = 0;
   std::uint64_t cross_msgs_ = 0;

@@ -161,6 +161,8 @@ PerfSmokeReport RunPerfSmoke(const PerfSmokeParams& params) {
     report.invariant_open = monitor->OpenViolations();
     report.invariant_full_sweeps = monitor->FullSweeps();
     report.invariant_deltas = monitor->DeltasRouted();
+    report.invariant_spills = monitor->Staging().spills;
+    report.invariant_peak_staged = monitor->Staging().peak_staged;
     report.invariant_cross_check_misses = monitor->CrossCheckMisses();
     for (const auto& check : monitor->Report().checks) {
       report.invariant_check_wall.push_back(

@@ -106,8 +106,9 @@ struct PerfSmokeReport {
   std::size_t invariant_violations = 0;   ///< Violations opened over the run.
   std::size_t invariant_open = 0;         ///< Still open at the end.
   /// Wall-clock spent in the periodic scans that ride along with the
-  /// workload (informational, like wall_*). These scans run inside the
-  /// index phase, so this is the overhead numerator over WallTotalMs().
+  /// workload, and in the staged-delta drains between them (informational,
+  /// like wall_*). Both run inside the index phase, so this is the
+  /// overhead numerator over WallTotalMs().
   double invariant_scan_ms = 0.0;
   /// Wall-clock of the forced final full sweep. That sweep runs after the
   /// wall_* clocks stop: it is the benchmark's verification step (settled
@@ -117,6 +118,10 @@ struct PerfSmokeReport {
   double invariant_final_sweep_ms = 0.0;
   std::uint64_t invariant_full_sweeps = 0;  ///< Scans run as full sweeps.
   std::uint64_t invariant_deltas = 0;       ///< Deltas routed to dirty sets.
+  /// Drains between scans, when the staged backlog reached the cap.
+  std::uint64_t invariant_spills = 0;
+  /// Largest staged backlog any drain found (scan or spill).
+  std::uint64_t invariant_peak_staged = 0;
   /// Full-sweep findings the incremental path would have missed — must be
   /// zero; nonzero means a mutation site forgot to publish a delta.
   std::uint64_t invariant_cross_check_misses = 0;

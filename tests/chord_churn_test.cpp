@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "chord/chord_ring.hpp"
+#include "hash/keyspace.hpp"
 #include "util/format.hpp"
 
 namespace peertrack::chord {
@@ -137,22 +139,35 @@ TEST(ChordChurn, RangeTransferFiresOnJoin) {
   f.ring_.ProtocolBootstrap(20000.0);
   ASSERT_TRUE(f.ring_.IsConverged());
 
-  ChordNode& newcomer = f.ring_.ProtocolJoin("newcomer");
+  ChordNode& first = f.ring_.ProtocolJoin("newcomer");
   f.Settle(20000.0);
   ASSERT_TRUE(f.ring_.IsConverged());
-
-  // The newcomer's successor must have adopted it as predecessor; attach a
-  // recorder and force one more join to observe a transfer event.
-  ChordNode* successor = f.ring_.FindByActor(newcomer.Successor().actor);
+  ChordNode* successor = f.ring_.FindByActor(first.Successor().actor);
   ASSERT_NE(successor, nullptr);
+  ASSERT_TRUE(successor->Predecessor().has_value());
+  ASSERT_EQ(successor->Predecessor()->actor, first.Self().actor);
+
+  // A second newcomer whose id lands between `first` and its successor
+  // takes (first, newcomer] off the successor.
+  std::string address;
+  for (int i = 0; address.empty(); ++i) {
+    const std::string candidate = util::Format("between-{}", i);
+    if (hash::NodeKey(candidate).InOpenInterval(first.Self().id,
+                                                successor->Self().id)) {
+      address = candidate;
+    }
+  }
   RecordingApp app;
   successor->SetAppHandler(&app);
-
-  // A second newcomer that lands between `newcomer` and `successor` would
-  // trigger another transfer; instead we simply verify the adopt path by
-  // checking the successor already adopted the first newcomer.
-  ASSERT_TRUE(successor->Predecessor().has_value());
+  ChordNode& newcomer = f.ring_.ProtocolJoin(address);
+  f.Settle(20000.0);
+  ASSERT_TRUE(f.ring_.IsConverged());
   EXPECT_EQ(successor->Predecessor()->actor, newcomer.Self().actor);
+
+  ASSERT_EQ(app.transfers.size(), 1u);
+  EXPECT_EQ(app.transfers[0].lo, first.Self().id);
+  EXPECT_EQ(app.transfers[0].hi, newcomer.Self().id);
+  EXPECT_EQ(app.transfers[0].new_owner, newcomer.Self());
 }
 
 TEST(ChordChurn, RangeTransferFiresOnLeave) {

@@ -20,6 +20,14 @@
 // invisible: the same ledger in the same record order, the same
 // cross-check misses and the same routed-delta count as the one-partition
 // incremental run.
+//
+// Both incremental runs then repeat with a tiny staging cap (through the
+// monitor's test seam): one delta in the corruption scenarios, 37 in the
+// churn leg. The publish that reaches the cap drains the bus into the
+// marks there and then, mid-event, instead of once per scan. Chunked
+// draining must be invisible too: the same ledger in the same record
+// order, the same cross-check misses and the same routed-delta count as
+// the default-cap run at the same fan-out.
 
 #include <gtest/gtest.h>
 
@@ -40,11 +48,20 @@ enum class Mode { kFull, kIncremental, kSplit };
 
 constexpr std::uint32_t kSplitPartitions = 4;
 
+/// Staging caps of the spill legs. A corruption scenario publishes a
+/// handful of deltas between scans, so every publish drains; the churn leg
+/// publishes hundreds of thousands, so it drains every few dozen.
+constexpr std::size_t kScenarioStagingCap = 1;
+constexpr std::size_t kChurnStagingCap = 37;
+
 /// Put `monitor` in `mode`: kSplit is incremental with a four-way fan-out
 /// that runs the partitions one after another, last partition first.
+/// `staging_cap` 0 keeps the default cap.
 void ConfigureMonitor(InvariantMonitor& monitor,
-                      tracking::TrackingSystem& system, Mode mode) {
+                      tracking::TrackingSystem& system, Mode mode,
+                      std::size_t staging_cap) {
   if (mode == Mode::kFull) return;
+  if (staging_cap != 0) monitor.SetStagingCap(staging_cap);
   monitor.EnableIncremental(system.network().delta_bus());
   if (mode == Mode::kSplit) {
     monitor.SetFanOut(kSplitPartitions,
@@ -101,14 +118,33 @@ Outcome OutcomeOf(const InvariantMonitor& monitor) {
   return out;
 }
 
-/// The split run must reproduce the one-partition incremental run exactly.
-void ExpectPartitionInvariant(const Outcome& incremental, const Outcome& split,
-                              const std::string& label) {
-  EXPECT_EQ(incremental.ledger, split.ledger)
-      << label << ": the " << kSplitPartitions
-      << "-partition scan changed the ledger or its record order";
-  EXPECT_EQ(incremental.misses, split.misses) << label;
-  EXPECT_EQ(incremental.deltas, split.deltas) << label;
+/// `other` must reproduce `reference` exactly: the ledger in record order,
+/// the cross-check misses and the routed-delta count.
+void ExpectSameOutcome(const Outcome& reference, const Outcome& other,
+                       const std::string& label) {
+  EXPECT_EQ(reference.ledger, other.ledger)
+      << label << ": the ledger or its record order changed";
+  EXPECT_EQ(reference.misses, other.misses) << label;
+  EXPECT_EQ(reference.deltas, other.deltas) << label;
+}
+
+/// Reruns the incremental leg `incremental`: `run(mode, staging_cap)`
+/// returns an outcome. The split run must reproduce the one-partition run,
+/// and each must be reproduced by its own rerun at `staging_cap`.
+template <typename Run>
+void ExpectPartitionAndSpillInvariant(const Outcome& incremental,
+                                      const Run& run, std::size_t staging_cap,
+                                      const std::string& label) {
+  const Outcome split = run(Mode::kSplit, 0);
+  ExpectSameOutcome(incremental, split,
+                    util::Format("{}: {}-partition scan", label,
+                                 kSplitPartitions));
+  ExpectSameOutcome(incremental, run(Mode::kIncremental, staging_cap),
+                    util::Format("{}: 1 partition, staging cap {}", label,
+                                 staging_cap));
+  ExpectSameOutcome(split, run(Mode::kSplit, staging_cap),
+                    util::Format("{}: {} partitions, staging cap {}", label,
+                                 kSplitPartitions, staging_cap));
 }
 
 /// Build a world, install the monitor in `mode`, run the scenario, finish
@@ -116,12 +152,13 @@ void ExpectPartitionInvariant(const Outcome& incremental, const Outcome& split,
 /// `World` must default-construct the same deterministic system every time;
 /// `scenario(system, monitor)` drives corruption/repair and RunOnce calls.
 template <typename World, typename Scenario>
-Outcome RunOnce(Mode mode, const Scenario& scenario) {
+Outcome RunOnce(Mode mode, const Scenario& scenario,
+                std::size_t staging_cap = 0) {
   World world;
   tracking::TrackingSystem& system = world.system;
   Registry registry;
   InvariantMonitor monitor(system.simulator(), registry);
-  ConfigureMonitor(monitor, system, mode);
+  ConfigureMonitor(monitor, system, mode, staging_cap);
   InstallRingChecks(monitor, system.ring());
   InstallTrackingChecks(monitor, system, {.staleness_ms = 100.0});
   EXPECT_EQ(monitor.Partitions(),
@@ -137,7 +174,18 @@ Outcome RunOnce(Mode mode, const Scenario& scenario) {
     EXPECT_GE(monitor.FullSweeps(), 1u);
     EXPECT_GT(monitor.DeltasRouted(), 0u) << "no deltas reached the monitor";
   }
+  if (staging_cap != 0) {
+    EXPECT_GT(monitor.Staging().spills, 0u) << "the spill leg never spilled";
+  }
   return OutcomeOf(monitor);
+}
+
+/// Callable for ExpectPartitionAndSpillInvariant over one scenario.
+template <typename World, typename Scenario>
+auto Rerun(const Scenario& scenario) {
+  return [&scenario](Mode mode, std::size_t staging_cap) {
+    return RunOnce<World>(mode, scenario, staging_cap);
+  };
 }
 
 template <typename World, typename Scenario>
@@ -151,8 +199,8 @@ void ExpectIdenticalDetection(const Scenario& scenario,
     EXPECT_FALSE(full.empty())
         << "scenario produced no violations at all — it tests nothing";
   }
-  ExpectPartitionInvariant(incremental,
-                           RunOnce<World>(Mode::kSplit, scenario), "scenario");
+  ExpectPartitionAndSpillInvariant(incremental, Rerun<World>(scenario),
+                                   kScenarioStagingCap, "scenario");
 }
 
 // --- Individual-mode worlds (mirrors IndividualFixture) ---------------------
@@ -361,8 +409,9 @@ TEST(InvariantDifferential, DualTripReportsBothFusedCheckIdsIdentically) {
       RunOnce<ReplicatedWorld>(Mode::kIncremental, scenario);
   EXPECT_EQ(full, incremental.digest)
       << "incremental mode diverged from the full-scan ground truth";
-  ExpectPartitionInvariant(
-      incremental, RunOnce<ReplicatedWorld>(Mode::kSplit, scenario), "dual trip");
+  ExpectPartitionAndSpillInvariant(incremental,
+                                   Rerun<ReplicatedWorld>(scenario),
+                                   kScenarioStagingCap, "dual trip");
   const auto count = [&full](const char* check) {
     return std::count_if(full.begin(), full.end(),
                          [check](const std::string& line) {
@@ -479,7 +528,7 @@ TEST(InvariantDifferential, MisplacedBucketOpensIdentically) {
 /// captures, live queries) with a periodically-ticking monitor and returns
 /// the violation digest. Same seed + same mode-independent schedule ==
 /// identical simulation trajectory, so the two modes' digests must match.
-Outcome RunChurn(std::uint64_t seed, Mode mode) {
+Outcome RunChurn(std::uint64_t seed, Mode mode, std::size_t staging_cap = 0) {
   tracking::SystemConfig config;
   config.tracker.mode = tracking::IndexingMode::kGroup;
   config.tracker.window.tmax_ms = 100.0;
@@ -502,7 +551,7 @@ Outcome RunChurn(std::uint64_t seed, Mode mode) {
   system.RunUntil(system.simulator().Now() + 3000.0);
 
   InvariantMonitor monitor(system.simulator(), system.metrics().registry());
-  ConfigureMonitor(monitor, system, mode);
+  ConfigureMonitor(monitor, system, mode, staging_cap);
   InstallRingChecks(monitor, system.ring());
   InstallTrackingChecks(monitor, system);
   monitor.Start(/*period_ms=*/500.0,
@@ -559,6 +608,9 @@ Outcome RunChurn(std::uint64_t seed, Mode mode) {
         << "churn cross-check miss (seed " << seed << ")";
     EXPECT_GT(monitor.DeltasRouted(), 0u);
   }
+  if (staging_cap != 0) {
+    EXPECT_GT(monitor.Staging().spills, 0u) << "the spill leg never spilled";
+  }
   // Both modes must also agree the run is self-healing at quiesce.
   EXPECT_EQ(monitor.OpenViolations(), 0u)
       << "violations still open at quiesce (seed " << seed << ")";
@@ -573,8 +625,12 @@ TEST_P(ChurnDifferential, FullAndIncrementalAgreeUnderChurn) {
   const Outcome incremental = RunChurn(seed, Mode::kIncremental);
   EXPECT_EQ(full, incremental.digest)
       << "incremental mode diverged under churn (seed " << seed << ")";
-  ExpectPartitionInvariant(incremental, RunChurn(seed, Mode::kSplit),
-                           util::Format("churn seed {}", seed));
+  ExpectPartitionAndSpillInvariant(
+      incremental,
+      [seed](Mode mode, std::size_t staging_cap) {
+        return RunChurn(seed, mode, staging_cap);
+      },
+      kChurnStagingCap, util::Format("churn seed {}", seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnDifferential,

@@ -1,5 +1,5 @@
-// StateDeltaBus — the staging claim and the per-lane staged streams behind
-// the monitor's batched drain.
+// StateDeltaBus — the staging claim, the per-lane staged streams behind
+// the monitor's batched drain, and the staging cap that bounds them.
 
 #include "obs/delta_bus.hpp"
 
@@ -171,6 +171,64 @@ TEST(StateDeltaBus, StagedKindsMaskTracksEachLaneUntilCleared) {
   // Without a staging claim nothing is staged, so nothing is masked.
   bus.Publish(StateDelta::Ring(DeltaKind::kMembership, 9));
   EXPECT_EQ(bus.StagedKinds(0), 0u);
+}
+
+TEST(StateDeltaBus, OutsideAWindowNoLaneHoldsMoreThanTheCap) {
+  constexpr std::size_t kCap = 5;
+  StateDeltaBus bus;
+  bus.EnableLanes(3);
+  ASSERT_TRUE(bus.BeginStaging());
+  std::vector<std::uint64_t> drained;  // Backlog size at each spill.
+  bus.SetSpill(
+      [&bus, &drained] {
+        drained.push_back(bus.StagedCount());
+        bus.ClearStaged();
+      },
+      kCap);
+  for (std::uint32_t i = 0; i < 26; ++i) {
+    LaneScope scope(i % 3);  // A coordinator or control-phase lane.
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, i));
+    for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
+      ASSERT_LT(bus.Staged(lane).size(), kCap)
+          << "lane " << lane << " after publish " << i;
+    }
+  }
+  // Every spill fires on the publish that filled one lane to the cap; the
+  // other lanes ride along in the same drain.
+  EXPECT_EQ(drained, (std::vector<std::uint64_t>{13, 13}));
+  EXPECT_EQ(bus.StagedCount(), 0u);
+
+  // Inside a shard window the lanes keep growing: the drain must wait for
+  // every worker to park, which is the engine's window epilogue's job.
+  {
+    LaneScope window(1, /*window=*/true);
+    EXPECT_TRUE(InWindow());
+    for (std::uint32_t i = 0; i < 2 * kCap; ++i) {
+      bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, i));
+    }
+  }
+  EXPECT_FALSE(InWindow());
+  EXPECT_EQ(bus.Staged(1).size(), 2 * kCap);
+  EXPECT_EQ(drained.size(), 2u);
+  // The first publish outside the window drains the burst.
+  bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, 0));
+  EXPECT_EQ(drained.size(), 2u) << "lane 0 is below the cap";
+  {
+    LaneScope scope(1);
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, 1));
+  }
+  ASSERT_EQ(drained.size(), 3u);
+  EXPECT_EQ(drained.back(), 2 * kCap + 2);
+
+  // EndStaging removes the hook with the claim.
+  bus.EndStaging();
+  ASSERT_TRUE(bus.BeginStaging());
+  for (std::uint32_t i = 0; i < 2 * kCap; ++i) {
+    bus.Publish(StateDelta::Ring(DeltaKind::kRingFinger, i));
+  }
+  EXPECT_EQ(bus.StagedCount(), 2 * kCap);
+  EXPECT_EQ(drained.size(), 3u);
+  bus.EndStaging();
 }
 
 }  // namespace

@@ -181,8 +181,10 @@ constexpr Weather kCalm{"constant:5", 0.0};
 constexpr Weather kLossy{"uniform:4:6", 0.05};
 
 /// Run the churn scenario at `shards` and return the final-state digest.
+/// `staging_cap` 0 keeps the monitor's default staging cap.
 std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
-                                  const Weather& weather) {
+                                  const Weather& weather,
+                                  std::size_t staging_cap = 0) {
   tracking::SystemConfig config;
   config.tracker.mode = tracking::IndexingMode::kGroup;
   config.tracker.window.tmax_ms = 100.0;
@@ -214,6 +216,7 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
 
   obs::InvariantMonitor monitor(system.MonitorSimulator(),
                                 system.metrics().registry());
+  if (staging_cap != 0) monitor.SetStagingCap(staging_cap);
   monitor.EnableIncremental(system.network().delta_bus());
   obs::InstallRingChecks(monitor, system.ring());
   obs::InstallTrackingChecks(monitor, system);
@@ -294,6 +297,13 @@ std::vector<std::string> RunWorld(std::uint64_t seed, std::size_t shards,
     EXPECT_EQ(engine.WindowsExecuted(), 0u)
         << "shards=1 must run the thread-free pass-through";
   }
+  if (staging_cap != 0 && shards > 1) {
+    // The low-cap leg must drain from the window epilogue, not only from
+    // coordinator-side publishes and scans.
+    EXPECT_GT(monitor.Staging().barrier_spills, 0u)
+        << "no drain after a window (seed " << seed << ", shards " << shards
+        << ")";
+  }
   if (weather.loss > 0.0) {
     EXPECT_GT(system.metrics().DroppedByLoss(), 0u);
     EXPECT_GT(system.metrics().RpcRetries(), 0u);
@@ -357,6 +367,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferential,
 
 TEST(ShardDifferentialLossy, JitteryLossyNetworkMatchesAtEveryShardCount) {
   ExpectShardInvariant(/*seed=*/11, kLossy);
+}
+
+// The default staging cap is far above what this 16-node world stages
+// between scans, so the legs above drain once per scan. With a cap of 32
+// deltas the monitor drains mid-run: from publishes on the coordinator
+// and, at S > 1, from the engine's window epilogue. Chunked draining must
+// leave every digest line — deltas_routed and the ledger included —
+// equal to the default-cap oracle.
+TEST(ShardDifferentialSpill, LowStagingCapMatchesTheOracle) {
+  constexpr std::uint64_t kSeed = 11;
+  constexpr std::size_t kLowCap = 32;
+  const auto oracle = RunWorld(kSeed, 1, kCalm);
+  for (const std::size_t shards : {2ul, 4ul}) {
+    const auto spilled = RunWorld(kSeed, shards, kCalm, kLowCap);
+    EXPECT_TRUE(oracle == spilled)
+        << "low staging cap diverged from the oracle (shards " << shards
+        << "):" << DigestDiff(oracle, spilled);
+  }
 }
 
 }  // namespace
