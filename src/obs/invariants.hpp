@@ -332,19 +332,23 @@ class InvariantMonitor {
 };
 
 // --- Concrete check installers ---------------------------------------------
+//
+// Every check is always installed. Each key-grained check is one sub of an
+// audit scope (DESIGN.md §8.2) that a scan phase runs once per scan; the
+// check body only emits what the pass buffered, so a check's wall_ms
+// covers its emit and the pass's cost shows under the scope's profiler
+// scope (named per installer below).
 
 /// Ring-structure checks against the oracle ring (the sorted alive id set):
 ///   ring.successor       successor pointer agrees with the true ring (error)
 ///   ring.predecessor     predecessor set, alive, and correct        (warn)
 ///   ring.successor_list  list is a prefix of the true successor seq (warn)
 ///   ring.finger          populated fingers point at successor(start)(warn)
-/// `ring` must outlive the monitor.
-struct RingInvariantOptions {
-  bool check_fingers = true;
-  bool check_successor_list = true;
-};
-void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
-                       RingInvariantOptions options = {});
+/// The first three share one scope over the neighbour-pointer marks
+/// (profiler scope invariant.ring_neighbors), ring.finger has its own over
+/// the finger marks (invariant.ring_fingers). `ring` must outlive the
+/// monitor.
+void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring);
 
 /// Tracking-layer checks against the ground-truth oracle:
 ///   iop.link           every to-link has the matching from-link (and vice
@@ -369,22 +373,18 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
 ///                      references a node that has completed a graceful
 ///                      leave — the departing handoff repointed them all
 ///                                                                 (error)
-/// `system` must outlive the monitor.
-struct TrackingInvariantOptions {
-  /// Updates younger than this are considered in flight and not judged
-  /// (capture windows hold reports for up to Tmax, then M1 routing and
-  /// M2/M3 delivery add network latency). 0 = derive from the tracker
-  /// config: window Tmax + 2000 ms.
-  double staleness_ms = 0.0;
-  bool check_iop = true;
-  bool check_gateway = true;
-  bool check_triangle = true;
-  bool check_prefix_shape = true;
-  bool check_replication = true;
-  bool check_handoff = true;
-};
+/// Each key partition runs the iop pair in one scope
+/// (invariant.visit_fused) and the staleness / coverage / replication trio
+/// in another (invariant.object_fused), both under invariant.partition;
+/// prefix.shape then runs serially (invariant.shape). handoff.complete is a
+/// node sweep, not key-grained: its body audits directly.
+///
+/// Updates younger than `staleness_ms` are considered in flight and not
+/// judged (capture windows hold reports for up to Tmax, then M1 routing
+/// and M2/M3 delivery add network latency). 0 = derive from the tracker
+/// config: window Tmax + 2000 ms. `system` must outlive the monitor.
 void InstallTrackingChecks(InvariantMonitor& monitor,
                            tracking::TrackingSystem& system,
-                           TrackingInvariantOptions options = {});
+                           double staleness_ms = 0.0);
 
 }  // namespace peertrack::obs

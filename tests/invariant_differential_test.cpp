@@ -160,7 +160,7 @@ Outcome RunOnce(Mode mode, const Scenario& scenario,
   InvariantMonitor monitor(system.simulator(), registry);
   ConfigureMonitor(monitor, system, mode, staging_cap);
   InstallRingChecks(monitor, system.ring());
-  InstallTrackingChecks(monitor, system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, system, /*staleness_ms=*/100.0);
   EXPECT_EQ(monitor.Partitions(),
             mode == Mode::kSplit ? kSplitPartitions : 1u);
   scenario(system, monitor);
@@ -320,6 +320,29 @@ TEST(InvariantDifferential, DroppedRecordOpensAndHealsIdentically) {
         gateway->mutable_individual_index().Upsert(object, *dropped);
         system.RunUntil(41'000.0);
         monitor.RunOnce();
+      });
+}
+
+// A ring finding on an incremental tick. The finger write publishes only
+// kRingFinger, so the tick sees it through the ring scopes' finger marks
+// alone; the repair re-wires the whole ring, which publishes a membership
+// delta and re-judges every node.
+TEST(InvariantDifferential, CorruptFingerOpensAndHealsIdentically) {
+  ExpectIdenticalDetection<IndividualWorld>(
+      [](tracking::TrackingSystem& system, InvariantMonitor& monitor) {
+        monitor.RunOnce();
+        chord::ChordRing& ring = system.ring();
+        chord::ChordNode& node = ring.Node(3);
+        const auto correct = ring.ExpectedSuccessor(node.fingers().Start(40));
+        chord::NodeRef wrong = node.Self();
+        if (wrong.id == correct.id) wrong = ring.Node(4).Self();
+        node.OracleSetFinger(40, wrong);
+        monitor.RunOnce();  // Incremental tick must open it.
+        system.RunUntil(25'000.0);
+        monitor.RunOnce();  // Still open.
+        ring.OracleBootstrap();
+        system.RunUntil(26'000.0);
+        monitor.RunOnce();  // Incremental tick must close it.
       });
 }
 

@@ -56,7 +56,7 @@ struct RecordedFixture {
 
   /// Monitor with tracking checks and forensics into `dir`.
   void Arm(InvariantMonitor& monitor) {
-    InstallTrackingChecks(monitor, system, {.staleness_ms = 100.0});
+    InstallTrackingChecks(monitor, system, /*staleness_ms=*/100.0);
     InvariantMonitor::ForensicOptions options;
     options.dir = dir;
     monitor.EnableForensics(*system.network().recorder(), std::move(options));
@@ -215,7 +215,7 @@ TEST(Forensics, BundleCapIsRespected) {
   RecordedFixture f("bundle-cap");
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
   InvariantMonitor::ForensicOptions options;
   options.dir = f.dir;
   options.max_bundles = 1;

@@ -407,7 +407,7 @@ TEST(TrackingChecks, SettledIndividualRunIsClean) {
   IndividualFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
   monitor.RunOnce();
   EXPECT_EQ(monitor.OpenViolations(), 0u);
   EXPECT_EQ(registry.CounterValue("invariant.pass:iop.link"), 1u);
@@ -419,7 +419,7 @@ TEST(TrackingChecks, BrokenToLinkFiresIopLinkThenHeals) {
   IndividualFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   // Find the tracker holding obj 0's middle visit and corrupt its to-link
   // to reference a node that never saw the object.
@@ -461,7 +461,7 @@ TEST(TrackingChecks, BackwardLinkFiresAcyclicCheck) {
   IndividualFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   // A from-link that points forward in time is impossible in a sound chain
   // (it would allow a cycle); inject one directly.
@@ -482,7 +482,7 @@ TEST(TrackingChecks, StaleGatewayEntryFiresThenHeals) {
   IndividualFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   // Roll obj 2's gateway entry back to its first sighting: the index now
   // lies about the latest location.
@@ -514,7 +514,7 @@ TEST(TrackingChecks, DroppedRecordFiresTriangleCoverageThenHeals) {
   IndividualFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   const auto object = Obj(3);
   tracking::TrackerNode* gateway = f.system.OwnerOf(object);
@@ -586,7 +586,7 @@ TEST(TrackingChecks, SettledGroupRunIsClean) {
   GroupFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
   monitor.RunOnce();
   EXPECT_EQ(monitor.OpenViolations(), 0u);
 }
@@ -595,7 +595,7 @@ TEST(TrackingChecks, DroppedDelegatedRecordFiresTriangleCoverage) {
   GroupFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   tracking::TrackerNode* node = nullptr;
   hash::Prefix prefix;
@@ -627,7 +627,7 @@ TEST(TrackingChecks, DuplicatedRecordFiresTriangleCoverage) {
   GroupFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   tracking::TrackerNode* node = nullptr;
   hash::Prefix prefix;
@@ -649,7 +649,7 @@ TEST(TrackingChecks, MisplacedBucketFiresPrefixShape) {
   GroupFixture f;
   Registry registry;
   InvariantMonitor monitor(f.system.simulator(), registry);
-  InstallTrackingChecks(monitor, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(monitor, f.system, /*staleness_ms=*/100.0);
 
   // A bucket at a level no gateway ever probes (Lp+3) is unreachable state.
   const unsigned lp = f.system.CurrentLp();
