@@ -16,8 +16,8 @@
 //              [--recorder-events=256] [--forensics=DIR] [--shards=1]
 //
 // Sharded kernel (--shards=N, default 1): the primary numbers always come
-// from the legacy single-threaded kernel (so the BENCH.json throughput
-// history stays comparable PR over PR). With N > 1 the bench additionally
+// from the kernel run with one shard (so the BENCH.json throughput history
+// stays comparable PR over PR). With N > 1 the bench additionally
 // runs a scaling pair — one 1-shard leg and one N-shard leg, both with
 // delegation disabled (the sharded kernel's colocation contract) — and
 // cross-checks their final state: events, captures, query outcomes and
@@ -206,19 +206,17 @@ double CoverageFraction(const ProfileResult& prof) {
 std::string ProfileJson(const ProfileResult& prof) {
   using peertrack::util::Format;
   if (!prof.enabled) {
-    return Format("  \"profile\": {{\"enabled\": false, \"compiled_in\": {}}},\n",
-                  peertrack::obs::Profiler::CompiledIn() ? "true" : "false");
+    return "  \"profile\": {\"enabled\": false},\n";
   }
   constexpr std::size_t kTopScopes = 20;
   std::string json = Format(
-      "  \"profile\": {{\"enabled\": true, \"compiled_in\": {}, "
+      "  \"profile\": {{\"enabled\": true, "
       "\"events_per_sec_profiled\": {:.1f}, "
       "\"events_per_sec_unprofiled\": {:.1f}, "
       "\"self_overhead_fraction\": {:.4f}, "
       "\"self_overhead_resolved\": {}, "
       "\"attributed_ms\": {:.3f}, \"measured_wall_ms\": {:.3f}, "
       "\"coverage_fraction\": {:.4f}, \"scopes\": [",
-      peertrack::obs::Profiler::CompiledIn() ? "true" : "false",
       prof.events_per_sec_profiled, prof.events_per_sec_unprofiled,
       prof.self_overhead_fraction,
       prof.self_overhead_resolved ? "true" : "false", prof.report.root_incl_ms,
@@ -309,10 +307,9 @@ std::string ReportJson(const PerfSmokeParams& params, const PerfSmokeReport& rep
       report.invariant_scan_ms, report.invariant_final_sweep_ms,
       overhead_fraction, report.invariant_violations,
       report.invariant_open, report.invariant_cross_check_misses);
-  for (std::size_t i = 0; i < report.invariant_check_wall.size(); ++i) {
-    const auto& check = report.invariant_check_wall[i];
-    json += peertrack::util::Format("{}{{\"id\": \"{}\", \"wall_ms\": {:.3f}}}",
-                                    i == 0 ? "" : ", ", check.id, check.wall_ms);
+  for (std::size_t i = 0; i < report.invariant_check_ids.size(); ++i) {
+    json += peertrack::util::Format("{}{{\"id\": \"{}\"}}", i == 0 ? "" : ", ",
+                                    report.invariant_check_ids[i]);
   }
   json += "]}\n";
   json += "}\n";
@@ -355,8 +352,7 @@ int main(int argc, char** argv) {
   const std::size_t shards =
       std::max<std::size_t>(1, static_cast<std::size_t>(config.GetUInt("shards", 1)));
 
-  const bool profile =
-      config.GetBool("profile", true) && peertrack::obs::Profiler::CompiledIn();
+  const bool profile = config.GetBool("profile", true);
   const std::string flame_path = config.GetString("flame", "");
 
   // Leg plan: with --profile the scenario runs 2*repeats legs, alternating
@@ -456,8 +452,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Scaling pair: the primary (history-comparable) numbers above always use
-  // the single-threaded kernel; with --shards=N > 1 the kernel scaling is
+  // Scaling pair: the primary (history-comparable) numbers above always run
+  // the kernel with one shard; with --shards=N > 1 the kernel scaling is
   // measured separately, 1 vs N shards with delegation disabled in BOTH
   // legs so the pair differs only in the kernel.
   ShardScale scale;

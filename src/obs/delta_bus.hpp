@@ -177,6 +177,16 @@ class StateDeltaBus {
   static constexpr std::size_t kStagingCap = std::size_t{1} << 17;
 
   void Publish(const StateDelta& delta) {
+    // The recorder mirror runs before Stage's leaf scope: it opens the
+    // recorder's own append leaf (and, when its buffer fills, the full
+    // drain scope), and no scope may open inside a leaf.
+    if (recorder_ != nullptr) {
+      recorder_->RecordState(
+          static_cast<std::uint8_t>(delta.kind), delta.actor, delta.object,
+          delta.kind >= DeltaKind::kIopVisit &&
+              delta.kind <= DeltaKind::kObjectTruth,
+          delta.when);
+    }
     if (Stage(delta)) spill_();
   }
 
@@ -261,23 +271,15 @@ class StateDeltaBus {
   }
 
  private:
-  /// Append `delta` to the calling thread's lane (and mirror it into the
-  /// recorder); true when the spill hook is due. Covers the recorder mirror
-  /// and the staging append, so per-mutation bookkeeping cost is
-  /// attributable separate from the drains that consume it. Publishers
-  /// guard with Active(), so inert runs never reach this scope. Leaf
-  /// variant: this fires once per mutation (millions per run) and opens no
-  /// scope of its own — which is why the spill runs in Publish, after it.
+  /// Append `delta` to the calling thread's lane; true when the spill hook
+  /// is due. Covers only the staging append, so per-mutation bookkeeping
+  /// cost is attributable separate from the recorder mirror and from the
+  /// drains that consume the backlog. Publishers guard with Active(), so
+  /// inert runs never reach this scope. Leaf variant: this fires once per
+  /// mutation (millions per run) and opens no scope of its own — which is
+  /// why the recorder mirror and the spill run in Publish, around it.
   bool Stage(const StateDelta& delta) {
     PROF_LEAF_SCOPE("bus", "publish");
-    if (recorder_ != nullptr) {
-      const auto kind = static_cast<std::uint8_t>(delta.kind);
-      recorder_->RecordState(
-          kind, delta.actor, delta.object,
-          delta.kind >= DeltaKind::kIopVisit &&
-              delta.kind <= DeltaKind::kObjectTruth,
-          delta.when);
-    }
     if (!staging_) return false;
     Lane& lane = lanes_[CurrentLane()];
     lane.staged.push_back(delta);

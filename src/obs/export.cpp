@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <fstream>
-#include <map>
 
 #include "obs/health.hpp"  // Shared JsonEscape.
 #include "util/format.hpp"
@@ -9,11 +8,6 @@
 namespace peertrack::obs {
 
 std::string PerfettoExporter::ToJson(const Tracer& tracer) {
-  return ToJson(tracer, {});
-}
-
-std::string PerfettoExporter::ToJson(const Tracer& tracer,
-                                     const std::vector<ProfileSample>& profile) {
   std::string json = "{\"traceEvents\":[";
   bool first = true;
   const auto append = [&](std::string event) {
@@ -42,50 +36,15 @@ std::string PerfettoExporter::ToJson(const Tracer& tracer,
         JsonEscape(msg.type), msg.at_ms * 1000.0, msg.from, msg.to, msg.bytes,
         msg.trace.trace_id, msg.trace.span_id));
   }
-  for (const ProfileSample& sample : profile) {
-    // Counter events: one "prof.<category>" track, cumulative exclusive
-    // host wall attributed to that category by sim time ts.
-    append(util::Format(
-        "{{\"name\":\"prof.{}\",\"cat\":\"profile\",\"ph\":\"C\",\"ts\":{},"
-        "\"pid\":0,\"args\":{{\"excl_ms\":{}}}}}",
-        JsonEscape(sample.category), sample.t_ms * 1000.0, sample.excl_ms));
-  }
   json += "],\"displayTimeUnit\":\"ms\"}";
   return json;
 }
 
 bool PerfettoExporter::WriteFile(const Tracer& tracer, const std::string& path) {
-  return WriteFile(tracer, {}, path);
-}
-
-bool PerfettoExporter::WriteFile(const Tracer& tracer,
-                                 const std::vector<ProfileSample>& profile,
-                                 const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << ToJson(tracer, profile);
+  out << ToJson(tracer);
   return static_cast<bool>(out);
-}
-
-void ProfileSampler::Start(double period_ms, double until_ms) {
-  BoundedPeriodicSchedule(simulator_, period_ms, until_ms,
-                          [this] { SampleNow(); });
-}
-
-void ProfileSampler::SampleNow() {
-  if (!Profiler::Enabled()) return;
-  const double t = simulator_.Now();
-  const Profiler::Report report = Profiler::Snapshot();
-  // Reduce per-scope totals to per-category cumulative exclusive wall;
-  // totals are sorted by excl_ms so categories come out hottest-first on
-  // the first sample (map order within one timestamp is irrelevant).
-  std::map<std::string, double, std::less<>> by_category;
-  for (const Profiler::ScopeReport& total : report.totals) {
-    by_category[report.InfoOf(total.scope).category] += total.excl_ms;
-  }
-  for (const auto& [category, excl_ms] : by_category) {
-    samples_.push_back(ProfileSample{t, category, excl_ms});
-  }
 }
 
 TimeSeriesSampler::~TimeSeriesSampler() {

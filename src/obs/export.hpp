@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -27,7 +26,7 @@
 namespace peertrack::obs {
 
 /// Bounded-horizon periodic self-rescheduling, shared by every sim-clock
-/// observer (TimeSeriesSampler, InvariantMonitor, ProfileSampler): run
+/// observer (TimeSeriesSampler, InvariantMonitor): run
 /// `body` now, then again every `period_ms` while the NEXT tick lands at
 /// or before `until_ms`. The horizon bound is what lets a drained
 /// simulator terminate — the schedule never keeps the event queue alive
@@ -46,38 +45,6 @@ void BoundedPeriodicSchedule(sim::Simulator& simulator, double period_ms,
   }
 }
 
-/// One profiler counter sample: cumulative exclusive wall attributed to a
-/// profiler category, as of sim time t_ms (host cost on the sim timeline).
-struct ProfileSample {
-  double t_ms = 0.0;
-  std::string category;
-  double excl_ms = 0.0;
-};
-
-/// Periodic Profiler snapshots on the simulated clock, reduced to
-/// per-category exclusive wall. PerfettoExporter merges the samples as
-/// counter ("C") tracks next to the span timeline, so "invariant cost
-/// ramps while query spans stall" is one picture. Snapshots merge the
-/// whole path tree — schedule at coarse cadence (tens of samples per run),
-/// not per event.
-class ProfileSampler {
- public:
-  explicit ProfileSampler(sim::Simulator& simulator) : simulator_(simulator) {}
-
-  /// Sample now and then every `period_ms` up to the `until_ms` horizon
-  /// (same bounded-horizon rule as every other sim-clock observer).
-  void Start(double period_ms, double until_ms);
-
-  /// Take one snapshot at the current simulated time.
-  void SampleNow();
-
-  const std::vector<ProfileSample>& samples() const noexcept { return samples_; }
-
- private:
-  sim::Simulator& simulator_;
-  std::vector<ProfileSample> samples_;
-};
-
 class PerfettoExporter {
  public:
   /// Render every span and message event as a trace-event JSON document
@@ -86,18 +53,9 @@ class PerfettoExporter {
   /// spans export with dur 0 and status "open".
   static std::string ToJson(const Tracer& tracer);
 
-  /// Same, with profiler counter tracks merged in: each ProfileSample
-  /// becomes a "C" (counter) event named "prof.<category>" on pid 0, so
-  /// attributed host cost rides the same timeline as the spans.
-  static std::string ToJson(const Tracer& tracer,
-                            const std::vector<ProfileSample>& profile);
-
   /// ToJson + write to `path`. Returns false when the file cannot be
   /// opened or written.
   static bool WriteFile(const Tracer& tracer, const std::string& path);
-  static bool WriteFile(const Tracer& tracer,
-                        const std::vector<ProfileSample>& profile,
-                        const std::string& path);
 };
 
 /// Periodic snapshot of a Metrics object on the simulated clock.

@@ -5,10 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "obs/health.hpp"  // JsonEscape
 #include "util/format.hpp"
 
@@ -46,78 +42,23 @@ void FlightRecorder::Grow(std::uint32_t actor) {
   if (rings_[actor].slots.empty()) rings_[actor].slots.resize(capacity_);
 }
 
-namespace {
-
-// The non-temporal drain copy below moves exactly one cache line per record.
+// One record per cache line: a slot write never straddles two lines.
 static_assert(sizeof(RecordedEvent) == 64 && alignof(RecordedEvent) == 64,
               "RecordedEvent must stay one 64-byte cache line");
-
-/// Warm one cache line for a write that is a few loop iterations away.
-[[maybe_unused]] inline void PrefetchForWrite(const void* line) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(line, 1, 1);
-#else
-  (void)line;
-#endif
-}
-
-/// Copy one record into its ring slot. The rings are write-only between
-/// forensic dumps, so on x86 the copy streams past the cache hierarchy:
-/// no read-for-ownership fetch, and megabytes of ring memory never evict
-/// the simulation's working set. Readers are same-thread (after the
-/// drain's closing fence), so no cross-thread visibility concerns.
-inline void CopyRecord(RecordedEvent* dst, const RecordedEvent& src) noexcept {
-#if defined(__SSE2__)
-  const auto* from = reinterpret_cast<const __m128i*>(&src);
-  auto* to = reinterpret_cast<__m128i*>(dst);
-  _mm_stream_si128(to + 0, _mm_load_si128(from + 0));
-  _mm_stream_si128(to + 1, _mm_load_si128(from + 1));
-  _mm_stream_si128(to + 2, _mm_load_si128(from + 2));
-  _mm_stream_si128(to + 3, _mm_load_si128(from + 3));
-#else
-  *dst = src;
-#endif
-}
-
-inline void DrainFence() noexcept {
-#if defined(__SSE2__)
-  _mm_sfence();
-#endif
-}
-
-}  // namespace
 
 void FlightRecorder::Drain(LaneBuf& lane) {
   std::vector<RecordedEvent>& staged = lane.staged;
   if (staged.empty()) return;
-  // The rings span ~actors * capacity records of memory, so each slot write
-  // would be a dependent cache miss if appends went straight to them.
-  // Batching lets a lookahead prefetch issue the slot fetches kAhead
-  // iterations early (covering the non-streaming fallback) while the
-  // streaming copy overlaps the stores — the whole point of staging
-  // (DESIGN.md §12).
   PROF_SCOPE("obs.recorder", "drain");
   // Shard threads drain concurrently: one lock per kStageCapacity appends.
   std::lock_guard<std::mutex> lock(rings_mutex_);
-  const std::size_t n = staged.size();
-  for (std::size_t i = 0; i < n; ++i) {
-#if !defined(__SSE2__)
-    // Streaming stores bypass the cache, so warming the destination would
-    // be wasted work — the lookahead only pays off for the plain copy.
-    constexpr std::size_t kAhead = 16;
-    if (i + kAhead < n) {
-      const Ring* ahead = FindRing(staged[i + kAhead].actor);
-      if (ahead != nullptr) PrefetchForWrite(&ahead->slots[ahead->head]);
-    }
-#endif
-    const RecordedEvent& e = staged[i];
+  for (const RecordedEvent& e : staged) {
     Ring& ring = RingFor(e.actor);
-    CopyRecord(&ring.slots[ring.head], e);
+    ring.slots[ring.head] = e;
     if (++ring.head == capacity_) ring.head = 0;
     ++ring.appended;
   }
   staged.clear();
-  DrainFence();
 }
 
 void FlightRecorder::FlushAll() {

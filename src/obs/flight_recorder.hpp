@@ -13,13 +13,11 @@
 // sequential POD append into the calling writer lane's (obs/lane.hpp)
 // bounded staging buffer — one per lane, lane 0 included, so shard threads
 // never share one. Distribution into the per-actor rings happens in bulk
-// when the buffer fills (or when a window/bundle is requested) — per-actor
-// ring slots are scattered across ~N*capacity records of memory, so
-// appending straight into them makes nearly every record a dependent cache
-// miss, while the batched drain overlaps those misses with software
-// prefetch. A tight-loop microbench measures ~13 ns/record (append plus
-// amortized drain), but a same-seed A/B of perf_smoke on the bare stack
-// (S=1, profiler and monitor off, 4-core host) measured +17.7% and +22.1%
+// when the buffer fills (or when a window/bundle is requested), under one
+// lock per batch, so shard threads never contend per record. A tight-loop
+// microbench measures ~13 ns/record (append plus amortized drain), but a
+// same-seed A/B of perf_smoke on the bare stack (S=1, profiler and monitor
+// off, 4-core host) measured +17.7% and +22.1%
 // index wall with recording on. No gate runs that A/B (ROADMAP item 6);
 // the perf gate only caps the profiled obs.recorder.* attribution at 5%.
 //
@@ -88,8 +86,8 @@ inline constexpr std::uint8_t kRecStateOffset = 3;
 const char* RecEventName(RecEvent event) noexcept;
 
 /// One recorded protocol event. POD, exactly 64 bytes (one cache line,
-/// asserted in flight_recorder.cpp so the drain's non-temporal copy stays
-/// valid); unused fields keep their defaults per event kind.
+/// asserted in flight_recorder.cpp); unused fields keep their defaults per
+/// event kind.
 struct alignas(64) RecordedEvent {
   double when = 0.0;  ///< Sim time of the append.
   /// Kind-specific argument. For the DeltaKind mirror this is the delta's
@@ -282,7 +280,7 @@ class FlightRecorder {
  private:
   /// Staged appends between drains. 4096 * sizeof(RecordedEvent) ≈ 256 KiB —
   /// small enough to stay cache-resident, large enough that the drain's
-  /// scattered ring writes amortize and overlap under prefetch.
+  /// lock amortizes over many records.
   static constexpr std::size_t kStageCapacity = 4096;
 
   struct Ring {

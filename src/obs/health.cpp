@@ -142,12 +142,12 @@ std::string HealthReport::ToJson() const {
     json += util::Format(
         "{}\n    {{\"id\": \"{}\", \"severity\": \"{}\", \"scans\": {}, "
         "\"failed_scans\": {}, \"findings\": {}, \"opened\": {}, "
-        "\"healed\": {}, \"open\": {}, \"wall_ms\": {:.3f}, "
+        "\"healed\": {}, \"open\": {}, "
         "\"cross_check_misses\": {}, \"repair_ms\": {{\"count\": {}, "
         "\"p50\": {:.3f}, \"p95\": {:.3f}, \"p99\": {:.3f}, \"max\": {:.3f}}}}}",
         i == 0 ? "" : ",", JsonEscape(check.id), SeverityName(check.severity),
         check.scans, check.failed_scans, check.findings, check.opened,
-        check.healed, check.open, check.wall_ms, check.cross_check_misses,
+        check.healed, check.open, check.cross_check_misses,
         check.repair.count, check.repair.p50_ms, check.repair.p95_ms,
         check.repair.p99_ms, check.repair.max_ms);
   }
@@ -183,7 +183,7 @@ std::string HealthReport::ToJson() const {
 
 std::string HealthReport::SummaryTable() const {
   util::Table table({"check", "severity", "scans", "failed", "opened", "healed",
-                     "open", "wall ms", "repair p50", "p95", "p99 (ms)"});
+                     "open", "repair p50", "p95", "p99 (ms)"});
   for (const CheckSummary& check : checks) {
     table.AddRow({check.id, std::string(SeverityName(check.severity)),
                   util::Format("{}", check.scans),
@@ -191,7 +191,6 @@ std::string HealthReport::SummaryTable() const {
                   util::Format("{}", check.opened),
                   util::Format("{}", check.healed),
                   util::Format("{}", check.open),
-                  util::Format("{:.1f}", check.wall_ms),
                   util::Format("{:.1f}", check.repair.p50_ms),
                   util::Format("{:.1f}", check.repair.p95_ms),
                   util::Format("{:.1f}", check.repair.p99_ms)});

@@ -161,7 +161,6 @@ struct HealthReport {
     std::uint64_t opened = 0;        ///< Violations opened.
     std::uint64_t healed = 0;        ///< Violations closed.
     std::size_t open = 0;            ///< Violations still open now.
-    double wall_ms = 0.0;            ///< Host wall time spent in this check.
     /// Full-sweep findings the incremental path would have missed (see
     /// DESIGN.md §8.2). Nonzero means a mutation site forgot to publish.
     std::uint64_t cross_check_misses = 0;

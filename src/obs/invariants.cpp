@@ -131,8 +131,6 @@ void InvariantMonitor::AddCheck(std::string id, Severity severity, CheckFn fn) {
       .pass = registry_.GetCounter(util::Format("invariant.pass:{}", id)),
       .fail = registry_.GetCounter(util::Format("invariant.fail:{}", id)),
       .open_gauge = registry_.GetGauge(util::Format("invariant.open:{}", id)),
-      .wall_gauge =
-          registry_.GetGauge(util::Format("invariants.check.{}.wall_ms", id)),
       .repair = registry_.GetHistogram(util::Format("invariant.repair_ms:{}", id)),
       .prof_scope = Profiler::Intern("invariant", id),
   });
@@ -165,15 +163,10 @@ void InvariantMonitor::RunOnce(bool force_full_sweep) {
   for (auto& check_ptr : checks_) {
     Check& check = *check_ptr;
     CheckContext context(now, full_pass, incremental);
-    const auto check_start = std::chrono::steady_clock::now();
     {
       PROF_SCOPE_ID(check.prof_scope);
       check.fn(context);
     }
-    check.wall_ms += std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - check_start)
-                         .count();
-    check.wall_gauge.Set(check.wall_ms);
     check.cross_check_misses += context.CrossCheckMisses();
     cross_check_misses_ += context.CrossCheckMisses();
     context.SortFindings();
@@ -277,7 +270,6 @@ HealthReport InvariantMonitor::Report() const {
     summary.opened = check.opened;
     summary.healed = check.healed;
     summary.open = ledger_.OpenCount(check.id);
-    summary.wall_ms = check.wall_ms;
     summary.cross_check_misses = check.cross_check_misses;
     summary.repair.count = check.repair.Count();
     summary.repair.p50_ms = check.repair.P50();
@@ -377,8 +369,8 @@ constexpr double kWatch = 0.0;     ///< Failing: re-audit every tick so the
 /// cross-check misses buffer per sub, and each registered check's body
 /// drains its sub's buffer into its own CheckContext (Emit). Ledger
 /// reconciliation, pass/fail counters and per-check summaries stay per
-/// check; a check's wall_ms covers only its emit, and the profiler scope
-/// passed to the constructor carries the pass's cost.
+/// check; the profiler scope passed to the constructor carries the pass's
+/// cost.
 ///
 /// On a full pass in incremental mode, a finding on a key that was neither
 /// dirty, deferred nor watched by the finding sub — and whose subject is
@@ -1039,42 +1031,18 @@ SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
   std::vector<SiteLoc>* site_locs = st.sites.Find(object);
   if (site_locs != nullptr) {
     std::vector<SiteLoc>& locs = *site_locs;
-    // Phase 1: resolve holder pointers and warm every site's entry-table
-    // lines. The sites live on different nodes, so without this each
-    // phase-2 probe is a serial cold miss; warming them together lets the
-    // memory system overlap the fetches. The located tables are kept as
-    // hints so phase 2 skips the re-lookup (same-pass only: no store
-    // mutates between the two loops).
-    constexpr std::size_t kInlineSites = 8;
-    const tracking::PrefixBucket* hints[kInlineSites] = {};
-    const bool hinted = locs.size() <= kInlineSites;
-    for (std::size_t i = 0; i < locs.size(); ++i) {
-      SiteLoc& loc = locs[i];
-      if (loc.node == nullptr) loc.node = sys.TrackerByActor(loc.actor);
-      tracking::TrackerNode* tracker = loc.node;
-      if (tracker == nullptr || !tracker->chord().Alive()) continue;
-      if (loc.individual) {
-        tracker->individual_index().Prefetch(object);
-        if (hinted) hints[i] = &tracker->individual_index();
-      } else if (const tracking::PrefixBucket* bucket =
-                     tracker->prefix_store().TryBucket(loc.prefix)) {
-        bucket->Prefetch(object);
-        if (hinted) hints[i] = bucket;
-      }
-    }
     for (std::size_t i = 0; i < locs.size();) {
       SiteLoc& loc = locs[i];
+      if (loc.node == nullptr) loc.node = sys.TrackerByActor(loc.actor);
       tracking::TrackerNode* tracker = loc.node;
       const tracking::IndexEntry* entry = nullptr;
       if (tracker != nullptr && tracker->chord().Alive()) {
         // Always re-find: the index stores are open-addressing maps whose
         // values move on rehash, so an entry pointer cached by an earlier
         // pass dangles the moment any upsert lands between passes. Only
-        // same-pass pointers (phase 1's table hints, EnsureMirrors' entry
-        // pointers consumed by its own pre-resolve loop) are safe to keep.
-        if (hinted) {
-          if (hints[i] != nullptr) entry = hints[i]->Find(object);
-        } else if (loc.individual) {
+        // same-pass pointers (EnsureMirrors' entry pointers consumed by its
+        // own pre-resolve loop) are safe to keep.
+        if (loc.individual) {
           entry = tracker->individual_index().Find(object);
         } else if (const tracking::PrefixBucket* bucket =
                        tracker->prefix_store().TryBucket(loc.prefix)) {
@@ -1083,7 +1051,6 @@ SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
       }
       if (entry == nullptr) {
         locs[i] = locs.back();
-        if (hinted) hints[i] = hints[locs.size() - 1];
         locs.pop_back();
         continue;
       }
@@ -1281,47 +1248,8 @@ void DrainTracking(TrackPart& part, TrackShared& shared,
   VisitMarks& visit_marks = part.visit_marks;
   ObjectMarks& object_marks = part.object_marks;
   ActorMarks& shape_marks = part.shape_marks;
-  // Each record prefetches the map lines the record kAhead further on
-  // will probe: the lanes stream sequentially, so the (random) mark or
-  // mirror probe for record i+k warms while records i..i+k-1 do real
-  // work.
-  constexpr std::size_t kAhead = 8;
-  // One-record site-list memo: a write group publishes its per-prefix
-  // upserts back to back, so ~3/4 of the mirror probes hit the object of
-  // the record just processed. Only operator[] inserts into the mirror,
-  // and every probe refreshes the memo, so the cached pointer never
-  // outlives a rehash.
-  hash::UInt160 memo_object{};
-  std::vector<SiteLoc>* memo_locs = nullptr;
   for (std::size_t lane = 0; lane < bus.Lanes(); ++lane) {
-    const std::vector<StateDelta>& staged = bus.Staged(lane);
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      if (i + kAhead < staged.size()) {
-        const StateDelta& n = staged[i + kAhead];
-        switch (n.kind) {
-          case DeltaKind::kIndexUpsert:
-            if (!keys.Owns(n.object)) break;
-            st.sites.Prefetch(n.object);
-            if (!object_marks.all) object_marks.deferred.Prefetch(n.object);
-            break;
-          case DeltaKind::kIndexErase:
-          case DeltaKind::kReplicaUpsert:
-          case DeltaKind::kReplicaErase:
-          case DeltaKind::kObjectTruth:
-            if (!object_marks.all && keys.Owns(n.object)) {
-              object_marks.deferred.Prefetch(n.object);
-            }
-            break;
-          case DeltaKind::kIopVisit:
-            if (!visit_marks.all && keys.Owns(n.object)) {
-              visit_marks.deferred.Prefetch(VisitKey{n.object, n.actor, n.when});
-            }
-            break;
-          default:
-            break;
-        }
-      }
-      const StateDelta& d = staged[i];
+    for (const StateDelta& d : bus.Staged(lane)) {
       switch (d.kind) {
         // The alive set is part of every tracking check's ground truth
         // (site sweeps skip dead nodes, replication re-derives
@@ -1346,13 +1274,8 @@ void DrainTracking(TrackPart& part, TrackShared& shared,
           break;
         case DeltaKind::kIndexUpsert: {
           if (!keys.Owns(d.object)) break;
-          std::vector<SiteLoc>* locs =
-              (memo_locs != nullptr && d.object == memo_object)
-                  ? memo_locs
-                  : &st.sites[d.object];
-          AddUniqueLoc(*locs, SiteLoc{d.actor, d.individual, d.prefix()});
-          memo_object = d.object;
-          memo_locs = locs;
+          AddUniqueLoc(st.sites[d.object],
+                       SiteLoc{d.actor, d.individual, d.prefix()});
           if (d.when >= 0.0) {
             object_marks.Defer(d.object, d.when);
           } else {

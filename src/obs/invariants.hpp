@@ -205,8 +205,6 @@ class InvariantMonitor {
   /// Register a named check. Per-check instruments:
   ///   counter invariant.pass:<id> / invariant.fail:<id>  (scan granularity)
   ///   gauge   invariant.open:<id>                        (open violations)
-  ///   gauge   invariants.check.<id>.wall_ms  (cumulative host wall, so the
-  ///           TimeSeriesSampler captures per-check cost as a series)
   ///   histogram invariant.repair_ms:<id>                 (heal latencies)
   /// The check body also runs under profiler scope "invariant.<id>".
   void AddCheck(std::string id, Severity severity, CheckFn fn);
@@ -278,12 +276,10 @@ class InvariantMonitor {
     std::uint64_t findings = 0;
     std::uint64_t opened = 0;
     std::uint64_t healed = 0;
-    double wall_ms = 0.0;
     std::uint64_t cross_check_misses = 0;
     Counter& pass;
     Counter& fail;
     Gauge& open_gauge;
-    Gauge& wall_gauge;
     Histogram& repair;
     ProfScopeId prof_scope = kInvalidProfScope;
   };
@@ -335,9 +331,8 @@ class InvariantMonitor {
 //
 // Every check is always installed. Each key-grained check is one sub of an
 // audit scope (DESIGN.md §8.2) that a scan phase runs once per scan; the
-// check body only emits what the pass buffered, so a check's wall_ms
-// covers its emit and the pass's cost shows under the scope's profiler
-// scope (named per installer below).
+// check body only emits what the pass buffered, and the pass's cost shows
+// under the scope's profiler scope (named per installer below).
 
 /// Ring-structure checks against the oracle ring (the sorted alive id set):
 ///   ring.successor       successor pointer agrees with the true ring (error)

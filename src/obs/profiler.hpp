@@ -59,14 +59,9 @@
 //    BENCH.json "profile" block (bench/perf_smoke --profile).
 //  * CollapsedStacks(report): "root;a;b <weight>" text loadable by standard
 //    flamegraph tools (weight = exclusive microseconds).
-//  * obs::ProfileSampler (export.hpp) snapshots per-category wall on the
-//    sim clock into Perfetto counter tracks, merged onto the span timeline
-//    by PerfettoExporter.
 //
-// Compile-time kill switch: -DPEERTRACK_PROFILER=0 turns every macro into
-// nothing (the purist A/B leg); the default A/B in bench/perf_smoke
-// toggles the runtime switch instead (SetEnabled), which leaves one
-// predictable branch per scope.
+// Switch: the A/B in bench/perf_smoke and perfbench toggles the runtime
+// switch (SetEnabled), which leaves one predictable branch per scope.
 //
 // Like registry.hpp, this header sits below sim/ — std only.
 
@@ -78,10 +73,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef PEERTRACK_PROFILER
-#define PEERTRACK_PROFILER 1
-#endif
 
 namespace peertrack::obs {
 
@@ -120,14 +111,8 @@ class Profiler {
     prof::g_profiler_enabled.store(enabled, std::memory_order_relaxed);
   }
   static bool Enabled() noexcept {
-#if PEERTRACK_PROFILER
     return prof::g_profiler_enabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
   }
-  /// True when PROF_SCOPE compiles to instrumentation at all.
-  static constexpr bool CompiledIn() noexcept { return PEERTRACK_PROFILER != 0; }
 
   /// Zero every thread's accumulated stats (path trees survive, so cached
   /// ids and child arrays stay warm) and re-seed the sampling LCGs so
@@ -333,27 +318,19 @@ inline void Profiler::Exit(ThreadState& ts) noexcept {
 class ProfScope {
  public:
   explicit ProfScope(ProfScopeId id) noexcept {
-#if PEERTRACK_PROFILER
     if (Profiler::Enabled() && id != kInvalidProfScope) {
       state_ = &Profiler::State();
       Profiler::Enter(*state_, id);
     }
-#else
-    (void)id;
-#endif
   }
   ~ProfScope() {
-#if PEERTRACK_PROFILER
     if (state_ != nullptr) Profiler::Exit(*state_);
-#endif
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-#if PEERTRACK_PROFILER
   Profiler::ThreadState* state_ = nullptr;
-#endif
 };
 
 /// Cheap RAII handle for guaranteed-LEAF scopes on per-item hot paths
@@ -377,7 +354,6 @@ class ProfScope {
 class ProfLeafScope {
  public:
   ProfLeafScope(ProfScopeId id, std::uint32_t& warm) noexcept {
-#if PEERTRACK_PROFILER
     if (!Profiler::Enabled() || id == kInvalidProfScope) return;
     Profiler::ThreadState& ts = Profiler::State();
     bool exact = false;
@@ -394,13 +370,8 @@ class ProfLeafScope {
     node_ = node;  // Index, not a reference: CreateNode may reallocate.
     exact_ = exact;
     start_ = prof::NowTicks();  // Last: exclude setup.
-#else
-    (void)id;
-    (void)warm;
-#endif
   }
   ~ProfLeafScope() {
-#if PEERTRACK_PROFILER
     if (ts_ == nullptr) return;
     // Clock first: exclude the bookkeeping below.
     const std::uint64_t end_ticks = prof::NowTicks();
@@ -427,44 +398,33 @@ class ProfLeafScope {
       ++node.sampled_timed;
       node.sampled_ticks += incl;
     }
-#endif
   }
   ProfLeafScope(const ProfLeafScope&) = delete;
   ProfLeafScope& operator=(const ProfLeafScope&) = delete;
 
  private:
-#if PEERTRACK_PROFILER
   Profiler::ThreadState* ts_ = nullptr;
   std::uint32_t node_ = 0;
   bool exact_ = false;
   std::uint64_t start_ = 0;
-#endif
 };
 
 namespace prof {
 
 inline std::uint64_t NowTicks() noexcept {
-#if PEERTRACK_PROFILER
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_ia32_rdtsc();
 #else
   return static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
 #endif
-#else
-  return 0;
-#endif
 }
 
 inline void OnAlloc(std::size_t bytes) noexcept {
-#if PEERTRACK_PROFILER
   if (!Profiler::Enabled()) return;
   Profiler::ThreadState& ts = Profiler::State();
   ts.alloc_bytes += static_cast<std::uint64_t>(bytes);
   ++ts.allocs;
-#else
-  (void)bytes;
-#endif
 }
 
 }  // namespace prof
@@ -487,8 +447,6 @@ inline void OnAlloc(std::size_t bytes) noexcept {
 // per-item hot paths only; see the leaf contract on that class (no
 // nested scopes, allocations attribute to the parent, entry-sampled
 // hit estimates past warmup).
-
-#if PEERTRACK_PROFILER
 
 #define PEERTRACK_PROF_CONCAT2(a, b) a##b
 #define PEERTRACK_PROF_CONCAT(a, b) PEERTRACK_PROF_CONCAT2(a, b)
@@ -519,16 +477,5 @@ inline void OnAlloc(std::size_t bytes) noexcept {
     (cache) = ::peertrack::obs::Profiler::Intern((category), (name_expr));    \
   }                                                                           \
   const ::peertrack::obs::ProfScope prof_scope_lazy_((cache))
-
-#else  // !PEERTRACK_PROFILER
-
-#define PROF_SCOPE(category, name) ((void)0)
-#define PROF_LEAF_SCOPE(category, name) ((void)0)
-// sizeof: the id expression is NOT evaluated when compiled out (delivery
-// sites pass a cache-filling call), but still "used" for warning purposes.
-#define PROF_SCOPE_ID(id) ((void)sizeof((id)))
-#define PROF_LAZY_SCOPE(cache, category, name_expr) ((void)sizeof((cache)))
-
-#endif  // PEERTRACK_PROFILER
 
 }  // namespace peertrack::obs

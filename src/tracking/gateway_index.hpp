@@ -40,12 +40,6 @@ class PrefixBucket {
   const IndexEntry* Find(const hash::UInt160& object) const {
     return entries_.Find(object);
   }
-  /// Warm the table lines a Find for `object` would touch; the invariant
-  /// monitor issues this ahead of its resolve loop so the per-site probes
-  /// overlap instead of missing serially.
-  void Prefetch(const hash::UInt160& object) const noexcept {
-    entries_.Prefetch(object);
-  }
   void Upsert(const hash::UInt160& object, const IndexEntry& entry) {
     entries_[object] = entry;
     if (bus_ != nullptr && bus_->Active()) {

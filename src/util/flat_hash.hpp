@@ -350,7 +350,6 @@ class FlatHashSet {
   void Swap(FlatHashSet& other) noexcept { table_.Swap(other.table_); }
 
   bool Contains(const K& key) const noexcept { return table_.Contains(key); }
-  void Prefetch(const K& key) const noexcept { table_.Prefetch(key); }
 
   /// True when the key was newly inserted.
   bool Insert(const K& key) { return table_.Insert(key, key).second; }

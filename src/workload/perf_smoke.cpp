@@ -165,8 +165,7 @@ PerfSmokeReport RunPerfSmoke(const PerfSmokeParams& params) {
     report.invariant_peak_staged = monitor->Staging().peak_staged;
     report.invariant_cross_check_misses = monitor->CrossCheckMisses();
     for (const auto& check : monitor->Report().checks) {
-      report.invariant_check_wall.push_back(
-          PerfSmokeReport::CheckWall{check.id, check.wall_ms});
+      report.invariant_check_ids.push_back(check.id);
     }
   }
 
@@ -186,13 +185,6 @@ PerfSmokeReport RunPerfSmoke(const PerfSmokeParams& params) {
   report.lookahead_deferrals = engine.LookaheadDeferrals();
   report.cross_shard_direct_calls = engine.CrossShardDirectCalls();
   report.metric_rows = system->metrics().CsvRows();
-  // Host-clock series (the per-check invariants.check.<id>.wall_ms gauges)
-  // are real time, not simulated state: they legitimately differ between
-  // same-seed runs, so they must not poison the determinism digest.
-  std::erase_if(report.metric_rows, [](const std::vector<std::string>& row) {
-    return !row.empty() && row.front().size() > 8 &&
-           row.front().ends_with(".wall_ms");
-  });
   return report;
 }
 

@@ -125,12 +125,8 @@ struct PerfSmokeReport {
   /// Full-sweep findings the incremental path would have missed — must be
   /// zero; nonzero means a mutation site forgot to publish a delta.
   std::uint64_t invariant_cross_check_misses = 0;
-  /// Per-check host wall time, in check registration order.
-  struct CheckWall {
-    std::string id;
-    double wall_ms = 0.0;
-  };
-  std::vector<CheckWall> invariant_check_wall;
+  /// Registered check ids, in registration order.
+  std::vector<std::string> invariant_check_ids;
 
   // Flight-recorder results (zero when params.recorder_events == 0).
   std::uint64_t recorder_events = 0;   ///< Protocol events recorded.

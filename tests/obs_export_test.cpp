@@ -370,66 +370,6 @@ TEST(BoundedPeriodicSchedule, InvariantMonitorDoesNotKeepSimulatorAlive) {
   EXPECT_EQ(check_runs, 11u);
 }
 
-TEST(BoundedPeriodicSchedule, ProfileSamplerDoesNotKeepSimulatorAlive) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
-  Profiler::SetEnabled(true);
-  Profiler::Reset();
-  {
-    // A sample tick emits one row per profiled CATEGORY, so seed one —
-    // under per-test process isolation nothing has entered a scope yet.
-    PROF_SCOPE("testexp", "sampler_seed");
-  }
-  sim::Simulator simulator;
-  ProfileSampler sampler(simulator);
-  sampler.Start(/*period_ms=*/10.0, /*until_ms=*/100.0);
-  simulator.Run();
-  EXPECT_LE(simulator.Now(), 100.0);
-  std::set<double> tick_times;
-  for (const ProfileSample& sample : sampler.samples()) {
-    tick_times.insert(sample.t_ms);
-  }
-  EXPECT_EQ(tick_times.size(), 11u);
-}
-
-// --- Profiler counter tracks ------------------------------------------------
-
-TEST(ProfileSampler, SamplesCarryPerCategoryExclusiveWall) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
-  Profiler::SetEnabled(true);
-  Profiler::Reset();
-  {
-    PROF_SCOPE("testexp", "sampled_work");
-    // Burn a little wall so the category's exclusive is nonzero.
-    volatile unsigned sink = 0;
-    for (unsigned i = 0; i < 200000; ++i) sink = sink + i;
-  }
-  sim::Simulator simulator;
-  ProfileSampler sampler(simulator);
-  sampler.SampleNow();
-  double testexp_excl = -1.0;
-  for (const ProfileSample& sample : sampler.samples()) {
-    if (sample.category == "testexp") testexp_excl = sample.excl_ms;
-  }
-  EXPECT_GE(testexp_excl, 0.0);  // Category present...
-  EXPECT_GT(testexp_excl, 0.0);  // ...with attributed wall.
-}
-
-TEST(PerfettoExporter, ProfileSamplesBecomeCounterTracks) {
-  Tracer tracer;
-  const std::vector<ProfileSample> profile = {
-      {0.0, "invariant", 1.25},
-      {100.0, "invariant", 2.5},
-      {100.0, "weird\"cat\\egory\n", 0.5},  // Escaping must hold here too.
-  };
-  const std::string json = PerfettoExporter::ToJson(tracer, profile);
-  JsonParser parser(json);
-  ASSERT_TRUE(parser.Validate()) << json;
-  EXPECT_NE(json.find("\"prof.invariant\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  // 100 ms -> 100000 us on the shared timeline.
-  EXPECT_NE(json.find("\"ts\":100000"), std::string::npos);
-}
-
 // --- JSON string-escaping edge cases ----------------------------------------
 
 TEST(PerfettoExporter, EscapesQuotesBackslashesAndNonAscii) {

@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/delta_bus.hpp"
+#include "obs/flight_recorder.hpp"
 #include "workload/perf_smoke.hpp"
 
 namespace peertrack::obs {
@@ -52,7 +54,6 @@ std::vector<std::uint32_t> FindNodes(const Profiler::Report& report,
 }
 
 TEST(Profiler, NestedScopesSumExclusiveToParentInclusive) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   {
     PROF_SCOPE("test", "nest_outer");
@@ -97,7 +98,6 @@ void Recurse(ProfScopeId id, int depth) {
 }
 
 TEST(Profiler, RecursionCreatesOnePathNodePerDepth) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   const ProfScopeId id = Profiler::Intern("test", "recurse");
   Recurse(id, 3);
@@ -149,7 +149,6 @@ TEST(Profiler, InternIsStableAcrossThreads) {
 
   // Scopes entered on a now-dead thread still reach the snapshot (the
   // thread's tree is retired into the global registry, not dropped).
-  if (!Profiler::CompiledIn()) return;
   Profiler::Reset();
   std::thread worker([here] {
     const ProfScope scope(here);
@@ -164,7 +163,6 @@ TEST(Profiler, InternIsStableAcrossThreads) {
 }
 
 TEST(Profiler, DisabledScopesDoNotAccumulate) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   Profiler::SetEnabled(false);
   {
@@ -182,7 +180,6 @@ TEST(Profiler, DisabledScopesDoNotAccumulate) {
 }
 
 TEST(Profiler, ResetZeroesStatsButKeepsInternedIds) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   const ProfScopeId id = Profiler::Intern("test", "reset_me");
   {
@@ -207,7 +204,6 @@ TEST(Profiler, ResetZeroesStatsButKeepsInternedIds) {
 }
 
 TEST(Profiler, AllocAttributionIsInclusiveAndExclusive) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   {
     PROF_SCOPE("test", "alloc_outer");
@@ -241,7 +237,6 @@ TEST(Profiler, AllocAttributionIsInclusiveAndExclusive) {
 // documented leaf contract). 100 entries stay well inside the 1024-entry
 // warmup, so every assertion here is exact.
 TEST(Profiler, LeafScopeCountsHitsAndLeavesAllocsToParent) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   {
     PROF_SCOPE("test", "leaf_outer");
@@ -287,7 +282,6 @@ TEST(Profiler, LeafScopeCountsHitsAndLeavesAllocsToParent) {
 // deterministic, but the assertion uses a wide statistical band so it
 // does not pin the draw sequence.
 TEST(Profiler, LeafScopeSamplesEntriesPastWarmup) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   constexpr std::uint64_t kWarm = Profiler::kExactTimedHits;  // 1024
   constexpr std::uint64_t kAfter = 4096;
@@ -309,8 +303,54 @@ TEST(Profiler, LeafScopeSamplesEntriesPastWarmup) {
   EXPECT_GT(total->incl_ms, 0.0);  // Drawn entries still accumulate wall.
 }
 
+// The recorder mirror of a published delta must be billed once: to the
+// recorder's own scopes, never also to bus.publish. Staging is off, so
+// bus.publish times an empty body and the mirror is the loop's only real
+// work. The loop runs on a fresh thread, whose per-call-site warmup
+// counters start at zero, so the first kExactTimedHits entries of every
+// leaf are exactly timed; 1000 publishes stay inside that regime and
+// leave the recorder's 4096-record staging buffer undrained.
+TEST(Profiler, BusPublishBillsTheRecorderMirrorOnce) {
+  Profiler::Reset();
+  std::thread([] {
+    FlightRecorder recorder(/*events_per_actor=*/64);
+    StateDeltaBus bus;
+    bus.AttachRecorder(&recorder);
+    PROF_SCOPE("test", "publish_outer");
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+      bus.Publish(StateDelta::Ring(DeltaKind::kRingNeighbors, i % 64));
+    }
+  }).join();
+  const Profiler::Report report = Profiler::Snapshot();
+  const auto outers = FindNodes(report, "test.publish_outer");
+  ASSERT_EQ(outers.size(), 1u);
+  const Profiler::NodeReport& outer = report.nodes[outers[0]];
+  const Profiler::NodeReport* publish = nullptr;
+  const Profiler::NodeReport* append = nullptr;
+  double sum_excl = outer.excl_ms;
+  for (const Profiler::NodeReport& node : report.nodes) {
+    if (node.parent != outers[0]) continue;
+    const std::string& full = report.InfoOf(node.scope).full;
+    if (full == "bus.publish") publish = &node;
+    if (full == "obs.recorder.append") append = &node;
+    sum_excl += node.excl_ms;
+  }
+  ASSERT_NE(publish, nullptr);
+  ASSERT_NE(append, nullptr);
+  EXPECT_EQ(publish->hits, 1000u);
+  EXPECT_EQ(append->hits, 1000u);
+  EXPECT_GT(append->incl_ms, 0.0);
+  // An empty staging body times less than a 64-byte record append. Were
+  // the mirror inside bus.publish's leaf, each publish interval would hold
+  // the whole append interval plus the append's two clock reads.
+  EXPECT_LT(publish->incl_ms, append->incl_ms);
+  // Exclusive totals sum to the truth: the outer's own time survives the
+  // subtraction of its children, so nothing was clamped.
+  EXPECT_GT(outer.excl_ms, 0.0);
+  EXPECT_NEAR(sum_excl, outer.incl_ms, 1e-9 * outer.incl_ms + 1e-12);
+}
+
 TEST(Profiler, CollapsedStacksEscapeSeparatorsAndParse) {
-  if (!Profiler::CompiledIn()) GTEST_SKIP();
   Profiler::Reset();
   const ProfScopeId weird =
       Profiler::Intern("test", "we;ird name\twith\nseps");
@@ -375,11 +415,9 @@ TEST(Profiler, InstrumentationNeverPerturbsTheSimulation) {
   }
 
   // And the profiled run actually attributed the work somewhere.
-  if (Profiler::CompiledIn()) {
-    const Profiler::Report report = Profiler::Snapshot();
-    EXPECT_GT(report.root_incl_ms, 0.0);
-    EXPECT_NE(FindTotal(report, "workload.index"), nullptr);
-  }
+  const Profiler::Report report = Profiler::Snapshot();
+  EXPECT_GT(report.root_incl_ms, 0.0);
+  EXPECT_NE(FindTotal(report, "workload.index"), nullptr);
 }
 
 }  // namespace
