@@ -836,11 +836,6 @@ struct SiteLoc {
   bool individual = false;  ///< Flat individual-mode map vs prefix bucket.
   hash::Prefix prefix{};    ///< Valid when !individual.
   tracking::TrackerNode* node = nullptr;
-  /// Same-pass hint only (set by EnsureMirrors while the entry is in hand,
-  /// consumed by its pre-resolve loop). Dangles once any store mutates:
-  /// the index maps are open-addressing and move values on rehash, so
-  /// cross-pass readers must re-find instead of dereferencing this.
-  const tracking::IndexEntry* entry = nullptr;
 
   friend bool operator==(const SiteLoc& a, const SiteLoc& b) {
     return a.actor == b.actor && a.individual == b.individual &&
@@ -856,8 +851,8 @@ struct ResolvedSite {
   const tracking::IndexEntry* entry = nullptr;
 };
 
-/// Resolved sites of one object, as a span into TrackState's arena. Only
-/// valid until the next ResolveSites call (the arena may reallocate).
+/// Resolved sites of one object, as a span into TrackState's scratch
+/// vector. Only valid until the next ResolveSites call (which reuses it).
 class SiteList {
  public:
   SiteList(const ResolvedSite* data, std::size_t size)
@@ -892,42 +887,23 @@ struct KeyPartition {
 };
 
 /// One key partition's object-keyed state: the site mirror its drain
-/// maintains, the per-scan resolve cache, and the full-pass hints. The
-/// mirror is a *hint*, not authority — audits resolve every location
-/// against live store state and lazily prune stale ones, so a spurious or
-/// duplicate delta at worst costs one clean re-audit. Full passes rebuild
-/// it from scratch, which is what makes the cross-check sweep honest: a
-/// mutation the drain never heard about is still found.
+/// maintains, plus the scratch its audits reuse. The mirror is a *hint*,
+/// not authority — audits resolve every location against live store
+/// state and lazily prune stale ones, so a spurious or duplicate delta at
+/// worst costs one clean re-audit. Full passes rebuild it from scratch,
+/// which is what makes the cross-check sweep honest: a mutation the drain
+/// never heard about is still found.
 struct TrackState {
-  std::uint64_t mirror_key = ~0ull;
   util::FlatHashMap<hash::UInt160, std::vector<SiteLoc>, hash::UInt160Hasher>
       sites;
-
-  // Per-scan cache of resolved sites, shared by the staleness / triangle /
-  // replication audits of one pass (they audit overlapping object sets).
-  // Spans into one arena instead of a heap vector per object.
-  struct SiteSpan {
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-  };
-  std::uint64_t resolve_key = ~0ull;
-  util::FlatHashMap<hash::UInt160, SiteSpan, hash::UInt160Hasher> resolved;
-  std::vector<ResolvedSite> arena;
+  std::vector<ResolvedSite> resolved;  ///< ResolveSites' output, reused.
   std::vector<hash::UInt160> key_scratch;
-
-  // Full-pass audit hints: the enumerator already holds the record it is
-  // naming, so it parks a pointer here immediately before invoking the
-  // audit, which then skips the by-key re-find. Never set on incremental
-  // ticks (audits fall back to the live lookup).
-  const moods::Visit* hint_visit = nullptr;
-  const std::vector<moods::OracleVisit>* hint_trace = nullptr;
 };
 
 /// Replication precompute: ring position and first-r true successors of
 /// every alive tracker. Built serially once per scan, before the
 /// partitions fan out, and only read by them.
 struct ReplicaRing {
-  std::uint64_t key = ~0ull;
   std::size_t r = 0;
   util::FlatHashMap<const tracking::TrackerNode*, std::size_t> position;
   std::vector<std::vector<tracking::TrackerNode*>> successors;
@@ -951,11 +927,9 @@ void SortSitesByActor(ResolvedSite* first, std::uint32_t count) noexcept {
 /// Rebuild the site mirror of the objects `part` owns from a full sweep
 /// over live state (full passes only; incremental ticks rely on the drain
 /// keeping it fresh).
-void EnsureMirrors(TrackState& st, std::uint64_t key, const KeyPartition& part,
+void RebuildMirror(TrackState& st, const KeyPartition& part,
                    tracking::TrackingSystem& sys) {
-  if (st.mirror_key == key) return;
   PROF_SCOPE("invariant", "mirror_rebuild");
-  st.mirror_key = key;
   st.sites.Clear();
   for (std::size_t i = 0; i < sys.NodeCount(); ++i) {
     tracking::TrackerNode& tracker = sys.Tracker(i);
@@ -963,7 +937,7 @@ void EnsureMirrors(TrackState& st, std::uint64_t key, const KeyPartition& part,
     const std::uint32_t actor = tracker.Self().actor;
     for (const auto& [object, entry] : tracker.individual_index().Entries()) {
       if (!part.Owns(object)) continue;
-      st.sites[object].push_back(SiteLoc{actor, true, {}, &tracker, &entry});
+      st.sites[object].push_back(SiteLoc{actor, true, {}, &tracker});
     }
     for (const auto& prefix : tracker.prefix_store().Prefixes()) {
       const tracking::PrefixBucket* bucket =
@@ -971,28 +945,9 @@ void EnsureMirrors(TrackState& st, std::uint64_t key, const KeyPartition& part,
       if (bucket == nullptr) continue;
       for (const auto& [object, entry] : bucket->Entries()) {
         if (!part.Owns(object)) continue;
-        st.sites[object].push_back(
-            SiteLoc{actor, false, prefix, &tracker, &entry});
+        st.sites[object].push_back(SiteLoc{actor, false, prefix, &tracker});
       }
     }
-  }
-  // Pre-resolve the rebuilt mirror while the entries are in hand: a full
-  // pass audits nearly every object three times, and lazy per-object
-  // resolution would redo a hash find (plus an entry re-find) per check
-  // per object on the sweep's critical path.
-  st.resolve_key = key;
-  st.resolved.Clear();
-  st.arena.clear();
-  st.resolved.Reserve(st.sites.Size());
-  for (const auto& [object, locs] : st.sites) {
-    const auto begin = static_cast<std::uint32_t>(st.arena.size());
-    for (const SiteLoc& loc : locs) {
-      st.arena.push_back(
-          ResolvedSite{loc.node, loc.individual, loc.prefix, loc.entry});
-    }
-    const auto count = static_cast<std::uint32_t>(st.arena.size() - begin);
-    SortSitesByActor(st.arena.data() + begin, count);
-    st.resolved.TryEmplace(object, TrackState::SiteSpan{begin, count});
   }
 }
 
@@ -1004,30 +959,13 @@ void AddUniqueLoc(std::vector<SiteLoc>& locs, const SiteLoc& loc) {
 
 /// Resolve every remembered location of `object` against live state,
 /// pruning locations that no longer hold an entry (moved, extracted, or
-/// the holder is gone). Cached per scan pass: three checks audit
-/// overlapping object sets and must see the same snapshot.
+/// the holder is gone). The fused judge resolves once per judged key and
+/// shares the list across its sub-audits; nothing is cached across calls,
+/// so full passes and incremental ticks run the same lookups.
 SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
-                      const hash::UInt160& object, std::uint64_t scan_key,
-                      bool full_pass) {
-  if (st.resolve_key != scan_key) {
-    st.resolve_key = scan_key;
-    st.resolved.Clear();
-    st.arena.clear();
-  }
-  // The span cache pays off only on full passes, where EnsureMirrors
-  // pre-resolved everything and this find is a hit. On incremental ticks
-  // each due object is judged exactly once per scan (the fused judge
-  // shares the span across its sub-checks locally), so a cache insert
-  // could never be re-read — skip both big-map probes.
-  if (full_pass) {
-    if (const TrackState::SiteSpan* cached = st.resolved.Find(object)) {
-      return SiteList{st.arena.data() + cached->begin, cached->count};
-    }
-  }
-  // Leaf scope on the slow path only: the cached hit above is a single
-  // probe, cheaper than the scope that would time it.
+                      const hash::UInt160& object) {
   PROF_LEAF_SCOPE("invariant", "site_resolve");
-  const auto begin = static_cast<std::uint32_t>(st.arena.size());
+  st.resolved.clear();
   std::vector<SiteLoc>* site_locs = st.sites.Find(object);
   if (site_locs != nullptr) {
     std::vector<SiteLoc>& locs = *site_locs;
@@ -1038,10 +976,8 @@ SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
       const tracking::IndexEntry* entry = nullptr;
       if (tracker != nullptr && tracker->chord().Alive()) {
         // Always re-find: the index stores are open-addressing maps whose
-        // values move on rehash, so an entry pointer cached by an earlier
-        // pass dangles the moment any upsert lands between passes. Only
-        // same-pass pointers (EnsureMirrors' entry pointers consumed by its
-        // own pre-resolve loop) are safe to keep.
+        // values move on rehash, so an entry pointer kept from an earlier
+        // pass dangles the moment any upsert lands between passes.
         if (loc.individual) {
           entry = tracker->individual_index().Find(object);
         } else if (const tracking::PrefixBucket* bucket =
@@ -1054,29 +990,24 @@ SiteList ResolveSites(TrackState& st, tracking::TrackingSystem& sys,
         locs.pop_back();
         continue;
       }
-      st.arena.push_back(ResolvedSite{tracker, loc.individual, loc.prefix, entry});
+      st.resolved.push_back(
+          ResolvedSite{tracker, loc.individual, loc.prefix, entry});
       ++i;
     }
     if (locs.empty()) st.sites.Erase(object);
   }
-  const auto count = static_cast<std::uint32_t>(st.arena.size() - begin);
+  const auto count = static_cast<std::uint32_t>(st.resolved.size());
   // Deterministic order: the mirror's insertion order depends on delta
   // arrival, and the "freshest entry" tie-breaks below must not.
-  SortSitesByActor(st.arena.data() + begin, count);
-  if (full_pass) {
-    st.resolved.TryEmplace(object, TrackState::SiteSpan{begin, count});
-  }
-  return SiteList{st.arena.data() + begin, count};
+  SortSitesByActor(st.resolved.data(), count);
+  return SiteList{st.resolved.data(), count};
 }
 
 /// Ring position and first min(R, n-1) true successors of every alive
 /// tracker, shared by all gateway.replication audits of one scan. Left
 /// empty (r 0) unless the tracker config enables replicate_index.
-void EnsureReplication(ReplicaRing& ring, std::uint64_t key,
-                       tracking::TrackingSystem& sys) {
-  if (ring.key == key) return;
+void BuildReplicaRing(ReplicaRing& ring, tracking::TrackingSystem& sys) {
   PROF_SCOPE("invariant", "replication_precompute");
-  ring.key = key;
   ring.r = 0;
   ring.position.Clear();
   ring.successors.clear();
@@ -1576,8 +1507,7 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
 
   // Full-pass universe of one partition's visit pair: every visit record
   // of every object it owns.
-  const auto enumerate_visits = [sys](TrackPart& part, const auto& fn) {
-    TrackState& st = part.state;
+  const auto enumerate_visits = [sys](const TrackPart& part, const auto& fn) {
     for (std::size_t i = 0; i < sys->NodeCount(); ++i) {
       tracking::TrackerNode& tracker = sys->Tracker(i);
       if (!tracker.chord().Alive()) continue;
@@ -1587,32 +1517,26 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
               const std::vector<moods::Visit>& visits) {
             if (!part.keys.Owns(object)) return;
             for (const moods::Visit& visit : visits) {
-              st.hint_visit = &visit;
               fn(VisitKey{object, actor, visit.arrived});
             }
           });
     }
-    st.hint_visit = nullptr;
   };
   // Full-pass universe of one partition's object trio: every object it
-  // owns that the oracle knows (hint_trace set while in its sweep), then
-  // any site-mirror leftovers — index entries for objects with no oracle
-  // trace, possible only in corrupted/test states. The enumerator owns
-  // overlap dedup (the FusedScope contract requires unique keys): oracle
-  // keys are unique by construction, and the leftover loop skips anything
-  // the oracle knows — one probe per leftover instead of a hashed
-  // judged-set insert per key.
-  const auto enumerate_objects = [sys, mon](TrackPart& part, const auto& fn) {
+  // owns that the oracle knows, then any site-mirror leftovers — index
+  // entries for objects with no oracle trace, possible only in
+  // corrupted/test states. The enumerator owns overlap dedup (the
+  // FusedScope contract requires unique keys): oracle keys are unique by
+  // construction, and the leftover loop skips anything the oracle knows —
+  // one probe per leftover instead of a hashed judged-set insert per key.
+  const auto enumerate_objects = [sys](TrackPart& part, const auto& fn) {
     TrackState& st = part.state;
-    EnsureMirrors(st, mon->ScansRun(), part.keys, *sys);
+    RebuildMirror(st, part.keys, *sys);
     sys->oracle().ForEachObject(
         [&](const hash::UInt160& object,
-            const std::vector<moods::OracleVisit>& trace) {
-          if (!part.keys.Owns(object)) return;
-          st.hint_trace = &trace;
-          fn(object);
+            const std::vector<moods::OracleVisit>&) {
+          if (part.keys.Owns(object)) fn(object);
         });
-    st.hint_trace = nullptr;
     // Materialize the leftover keys first: the audits prune the mirror
     // while the pass runs, and erasing from the map being iterated is UB.
     auto& keys = st.key_scratch;
@@ -1630,25 +1554,17 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
     }
   };
 
-  // Fetch the visit record a VisitKey names: the enumerator's hint on full
-  // passes, the live store on incremental ticks. Null when the record (or
-  // its holder) is gone — the key simply retires.
-  const auto fetch_visit = [sys](const TrackPart& part,
-                                 const VisitKey& key) -> const moods::Visit* {
-    if (part.state.hint_visit != nullptr) return part.state.hint_visit;
-    tracking::TrackerNode* tracker = sys->TrackerByActor(key.actor);
-    if (tracker == nullptr || !tracker->chord().Alive()) return nullptr;
-    return tracker->iop().VisitAt(key.object, key.arrived);
-  };
-
   // One judge for both visit-grain audits: the record fetch happens once
-  // per due key instead of once per check.
-  const auto judge_visits = [sys, staleness, fetch_visit](
-                                const TrackPart& part, VisitFused& fused,
-                                const CheckContext& ctx, const VisitKey& key,
-                                unsigned mask) {
-    const moods::Visit* vp = fetch_visit(part, key);
-    if (vp == nullptr) return;  // Record gone: kHealthy for both subs.
+  // per due key instead of once per check. A key whose record (or holder)
+  // is gone simply retires: kHealthy for both subs.
+  const auto judge_visits = [sys, staleness](VisitFused& fused,
+                                             const CheckContext& ctx,
+                                             const VisitKey& key,
+                                             unsigned mask) {
+    tracking::TrackerNode* holder = sys->TrackerByActor(key.actor);
+    if (holder == nullptr || !holder->chord().Alive()) return;
+    const moods::Visit* vp = holder->iop().VisitAt(key.object, key.arrived);
+    if (vp == nullptr) return;
     const moods::Visit& visit = *vp;
     const double settled_before = ctx.Now() - staleness;
     const auto subject = [&](const char* end) {
@@ -1783,7 +1699,7 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   // One judge for all three object-grain audits. The oracle trace and the
   // site resolution — the two dominant costs of the object pass — are
   // fetched once per due object instead of once per check.
-  const auto judge_objects = [sys, shared, mon, staleness](
+  const auto judge_objects = [sys, shared, staleness](
                                  TrackPart& part, ObjectFused& fused,
                                  const CheckContext& ctx,
                                  const hash::UInt160& object, unsigned mask) {
@@ -1793,16 +1709,14 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
     // flat-map probe, so a per-key leaf scope would cost more than the
     // fetch — it stays inside the fused pass's exclusive remainder.
     const std::vector<moods::OracleVisit>* trips =
-        st.hint_trace != nullptr ? st.hint_trace
-                                 : sys->oracle().FullTrace(object);
+        sys->oracle().FullTrace(object);
     // Lazy: gateway.staleness skips resolution for in-flight objects and
     // gateway.replication skips it when replication is disabled.
     bool have_sites = false;
     SiteList found{nullptr, 0};
     const auto sites = [&]() -> const SiteList& {
       if (!have_sites) {
-        found = ResolveSites(st, *sys, object, mon->ScansRun(),
-                             ctx.FullPass());
+        found = ResolveSites(st, *sys, object);
         have_sites = true;
       }
       return found;
@@ -2000,7 +1914,7 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
   monitor.AddScanPhase([shared, sys, mon, enumerate_visits, enumerate_objects,
                         enumerate_trackers, judge_visits,
                         judge_objects](const CheckContext& scan) {
-    EnsureReplication(shared->repl, mon->ScansRun(), *sys);
+    BuildReplicaRing(shared->repl, *sys);
     mon->RunPartitioned([&](std::uint32_t p) {
       PROF_SCOPE("invariant", "partition");
       TrackPart& part = *shared->parts[p];
@@ -2008,7 +1922,7 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
           scan, mon->ledger(),
           [&](const auto& fn) { enumerate_visits(part, fn); },
           [&](VisitFused& fused, const CheckContext& ctx, const VisitKey& key,
-              unsigned mask) { judge_visits(part, fused, ctx, key, mask); });
+              unsigned mask) { judge_visits(fused, ctx, key, mask); });
       part.objects.RunPass(
           scan, mon->ledger(),
           [&](const auto& fn) { enumerate_objects(part, fn); },

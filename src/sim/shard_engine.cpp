@@ -88,37 +88,19 @@ void ShardEngine::ParkShards(Time at) {
 
 void ShardEngine::DrainMailboxes() {
   const std::size_t count = shards_.size();
-  struct Ref {
-    Time deliver;
-    std::uint32_t src;
-    std::size_t idx;
-  };
-  std::vector<Ref> order;
+  // Push each destination's boxes in source-shard order, each box in its
+  // send order. The destination queue breaks same-time ties by push
+  // sequence, so same-instant deliveries run in (source shard, send order)
+  // whichever thread staged first — the same order run after run.
   for (std::size_t dst = 0; dst < count; ++dst) {
-    order.clear();
-    for (std::uint32_t src = 0; src < count; ++src) {
-      const std::vector<Staged>& box = mail_[src * count + dst];
-      for (std::size_t i = 0; i < box.size(); ++i) {
-        order.push_back(Ref{box[i].deliver, src, i});
-      }
-    }
-    if (order.empty()) continue;
-    // Total order independent of which thread staged first: deliver time,
-    // then source shard, then that source's send order. Destination heap
-    // sequence numbers — and therefore same-time tie-breaks — come out
-    // identical run after run.
-    std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-      if (a.deliver != b.deliver) return a.deliver < b.deliver;
-      if (a.src != b.src) return a.src < b.src;
-      return a.idx < b.idx;
-    });
     Simulator& sim = *shards_[dst];
-    for (const Ref& r : order) {
-      sim.ScheduleAt(r.deliver, std::move(mail_[r.src * count + dst][r.idx].action));
-      ++cross_msgs_;
-    }
     for (std::uint32_t src = 0; src < count; ++src) {
-      mail_[src * count + dst].clear();
+      std::vector<Staged>& box = mail_[src * count + dst];
+      for (Staged& staged : box) {
+        sim.ScheduleAt(staged.deliver, std::move(staged.action));
+        ++cross_msgs_;
+      }
+      box.clear();
     }
   }
 }

@@ -37,11 +37,12 @@
 // join it before anything mutates again.
 //
 // Determinism. Windows depend only on event timestamps, never on thread
-// timing. Mailboxes are drained in (deliver_time, source shard, send
-// order) order, so destination queues receive identical sequence numbers
-// run after run. Every shard executes an identical event stream for a
-// given seed and shard count; the final state digest matches the
-// single-threaded oracle for any S (see tests/sim_shard_differential_test).
+// timing. Mailboxes are drained in (source shard, send order) order into
+// queues that break time ties by push sequence, so destination queues
+// receive identical sequence numbers run after run. Every shard executes
+// an identical event stream for a given seed and shard count; the final
+// state digest matches the single-threaded oracle for any S (see
+// tests/sim_shard_differential_test).
 //
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route

@@ -65,7 +65,8 @@ void TrackerNode::RefreshFromDescent(std::vector<hash::UInt160>& unknown,
   // Figure 5, refresh_from_descent: recurse into both children, pruning by
   // prefix match; in steady state the triangle is one level deep, but the
   // recursion handles transient deeper shapes after Lp changes.
-  if (depth >= config_.max_descent_depth || prefix.length >= 63 || unknown.empty()) {
+  constexpr std::size_t kMaxDescentDepth = 8;  // Safety bound on the walk.
+  if (depth >= kMaxDescentDepth || prefix.length >= 63 || unknown.empty()) {
     return;
   }
   for (const bool bit : {false, true}) {

@@ -111,7 +111,8 @@ void TrackerNode::ProbeStep(std::uint64_t query_id, const chord::NodeRef& target
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
   PendingQuery& query = it->second;
-  if (query.probe_steps >= config_.max_probe_steps) {
+  constexpr std::size_t kMaxProbeSteps = 128;  // Query routing safety valve.
+  if (query.probe_steps >= kMaxProbeSteps) {
     util::LogWarn("query for {} exceeded probe budget", query.object.ToShortHex());
     FinishQuery(query_id, false);
     return;

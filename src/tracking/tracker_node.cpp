@@ -347,10 +347,15 @@ void TrackerNode::ReplicateEntries(const std::vector<ReplicaUpdate::Item>& items
 
 void TrackerNode::ArmReplicaFlush() {
   if (!replica_pending_.empty() || replica_full_push_) return;  // Armed.
+  // Debounce of the replica push: the first buffered update (or an
+  // anti-entropy request after a neighborhood change) arms one flush this
+  // far ahead. A replica trails its primary by at most this plus one rpc
+  // delivery.
+  constexpr double kReplicaFlushMs = 100.0;
   // Self-timer: owning shard (see ArmWindowTimer).
   auto& simulator = chord_.network().SimulatorFor(Self().actor);
   replica_timer_ = simulator.ScheduleAt(
-      simulator.Now() + config_.replica_flush_ms, [this] { FlushReplicas(); });
+      simulator.Now() + kReplicaFlushMs, [this] { FlushReplicas(); });
 }
 
 void TrackerNode::FlushReplicas() {

@@ -54,8 +54,6 @@ struct TrackerConfig {
   double alpha = 0.5;                     ///< Delegated fraction per overflow.
   std::size_t delegation_threshold = 4096;///< Bucket size that triggers delegation.
   bool enable_triangle = true;            ///< Data-Triangle machinery on/off.
-  std::size_t max_descent_depth = 8;      ///< Safety bound for descent walks.
-  std::size_t max_probe_steps = 128;      ///< Query routing safety valve.
   double query_timeout_ms = 60000.0;      ///< Global per-query safety net on
                                           ///< top of per-RPC deadlines.
   /// Deadline/backoff for every query-side RPC (trace probes, IOP walk
@@ -66,8 +64,8 @@ struct TrackerConfig {
   /// the gateway's first `replication_factor` ring successors. When the
   /// gateway crashes, Chord makes the nearest surviving successor the key's
   /// new owner, which promotes its replica — so L(o, t) keeps resolving.
-  /// Updates buffer for `replica_flush_ms`, then go out as one acknowledged
-  /// push per replica target.
+  /// Updates buffer for 100 ms (see ArmReplicaFlush), then go out as one
+  /// acknowledged push per replica target.
   bool replicate_index = false;
   /// Replica targets per gateway (only used when replicate_index). R=2
   /// survives a gateway crash plus one concurrent successor crash.
@@ -77,11 +75,6 @@ struct TrackerConfig {
   /// Tmax plus a few network round-trips, so the rehoming M2/M3 updates
   /// land while the departing node can still receive them.
   double leave_settle_ms = 2500.0;
-  /// Debounce of the replica push: the first buffered update (or an
-  /// anti-entropy request after a neighborhood change) arms one flush this
-  /// far ahead. A replica trails its primary by at most this plus one rpc
-  /// delivery.
-  double replica_flush_ms = 100.0;
 };
 
 /// Network-wide prefix length, shared by reference across all trackers

@@ -53,6 +53,37 @@ TEST(ShardWindow, FloorRespectingSendIsNotDeferred) {
   EXPECT_EQ(delivered_at, 15.0);
 }
 
+TEST(ShardWindow, SameInstantCrossShardDeliveriesRunInSourceThenSendOrder) {
+  Simulator root;
+  ShardEngine engine(root, 3, kFloor);
+  std::vector<std::string> order;  // appended only by shard 0's events
+  const auto stage = [&](double deliver, std::string label) {
+    engine.StageCrossShard(0, deliver, [&order, label = std::move(label)] {
+      order.push_back(label);
+    });
+  };
+  // One window [10, 15): shards 1 and 2 each stage to shard 0, some sends
+  // out of time order within a source, several landing on one instant.
+  engine.SimOf(1).ScheduleAt(10.0, [&] {
+    stage(20.0, "s1#0@20");
+    stage(17.0, "s1#1@17");
+    stage(20.0, "s1#2@20");
+  });
+  engine.SimOf(1).ScheduleAt(12.0, [&] { stage(17.0, "s1#3@17"); });
+  engine.SimOf(2).ScheduleAt(10.0, [&] {
+    stage(17.0, "s2#0@17");
+    stage(20.0, "s2#1@20");
+    stage(17.0, "s2#2@17");
+  });
+  engine.Run();
+  EXPECT_EQ(engine.LookaheadDeferrals(), 0u);
+  // Deliver time first, then source shard, then that source's send order.
+  const std::vector<std::string> expected = {
+      "s1#1@17", "s1#3@17", "s2#0@17", "s2#2@17",
+      "s1#0@20", "s1#2@20", "s2#1@20"};
+  EXPECT_EQ(order, expected);
+}
+
 TEST(ShardWindow, EventAtExactlyWindowEndRunsInTheNextWindow) {
   Simulator root;
   ShardEngine engine(root, 2, kFloor);
